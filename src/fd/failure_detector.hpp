@@ -15,6 +15,12 @@
 // `stabilize_at == 0` means stable from the first queried tick (the
 // scheduler's clock starts at 1). oracle_boundary_test.cpp pins this table
 // for all five files.
+//
+// State: an oracle may cache, but never changes an answer. The Sigma-family
+// oracles keep a per-process memo of their last quorum window (WindowMemo,
+// oracle_base.hpp), so value() is not const and one oracle must not be
+// queried from two threads at once; its answers are still exactly the
+// stateless function of (p, t), whatever the query order.
 #pragma once
 
 #include "sim/failure_pattern.hpp"

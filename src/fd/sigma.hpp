@@ -10,10 +10,13 @@
 //    it is *implementable* is a different question — Theorem 7.1).
 //  - kMajority: every quorum is a majority; valid only when a majority of
 //    processes are correct (otherwise completeness is unsatisfiable), and
-//    mirrors the "from scratch" implementation of Theorem 7.1.
+//    mirrors the "from scratch" implementation of Theorem 7.1. The
+//    constructor throws std::invalid_argument when correct processes are
+//    not a majority.
 #pragma once
 
 #include "fd/failure_detector.hpp"
+#include "fd/oracle_base.hpp"
 
 namespace nucon {
 
@@ -37,9 +40,14 @@ class SigmaOracle final : public Oracle {
   [[nodiscard]] FdValue value(Pid p, Time t) override;
 
  private:
+  [[nodiscard]] FdValue draw(Pid p, Time window, bool stable) const;
+
   const FailurePattern& fp_;
   SigmaOptions opts_;
+  ProcessSet all_;
+  ProcessSet correct_;
   Pid kernel_ = 0;
+  WindowMemo memo_;
 };
 
 }  // namespace nucon

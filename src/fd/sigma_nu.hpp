@@ -10,6 +10,7 @@
 #pragma once
 
 #include "fd/failure_detector.hpp"
+#include "fd/oracle_base.hpp"
 
 namespace nucon {
 
@@ -38,9 +39,15 @@ class SigmaNuOracle final : public Oracle {
   [[nodiscard]] FdValue value(Pid p, Time t) override;
 
  private:
+  [[nodiscard]] FdValue draw(Pid p, Time window, bool stable) const;
+
   const FailurePattern& fp_;
   SigmaNuOptions opts_;
+  ProcessSet all_;
+  ProcessSet correct_;
+  ProcessSet faulty_;
   Pid kernel_ = 0;
+  WindowMemo memo_;
 };
 
 /// Sigma^nu+ (paper §6.1): Sigma^nu plus self-inclusion (every process is
@@ -63,9 +70,18 @@ class SigmaNuPlusOracle final : public Oracle {
   [[nodiscard]] FdValue value(Pid p, Time t) override;
 
  private:
+  /// `faulty_only` picks the faulty-only shape around p over the benign
+  /// {p, kernel} shape.
+  [[nodiscard]] FdValue draw(Pid p, Time window, bool stable,
+                             bool faulty_only) const;
+
   const FailurePattern& fp_;
   SigmaNuPlusOptions opts_;
+  ProcessSet all_;
+  ProcessSet correct_;
+  ProcessSet faulty_;
   Pid kernel_ = 0;
+  WindowMemo memo_;
 };
 
 }  // namespace nucon

@@ -1,57 +1,59 @@
 #include "fd/sigma_nu.hpp"
 #include <algorithm>
 
-#include "fd/oracle_base.hpp"
-
 namespace nucon {
 
 SigmaNuPlusOracle::SigmaNuPlusOracle(const FailurePattern& fp,
                                      SigmaNuPlusOptions opts)
-    : fp_(fp), opts_(opts) {
-  const ProcessSet correct = fp_.correct();
-  kernel_ = correct.empty() ? 0 : correct.min();
+    : fp_(fp),
+      opts_(opts),
+      all_(ProcessSet::full(fp.n())),
+      correct_(fp.correct()),
+      faulty_(fp.faulty()),
+      memo_(fp.n()) {
+  kernel_ = correct_.empty() ? 0 : correct_.min();
 }
 
-FdValue SigmaNuPlusOracle::value(Pid p, Time t) {
-  const ProcessSet all = ProcessSet::full(fp_.n());
-  const ProcessSet correct = fp_.correct();
-  const bool stable = t >= opts_.stabilize_at;
-  const std::uint64_t mix =
-      oracle_mix(opts_.seed, p, t / std::max<Time>(1, opts_.hold), stable);
-
+FdValue SigmaNuPlusOracle::draw(Pid p, Time window, bool stable,
+                                bool faulty_only) const {
+  const std::uint64_t mix = oracle_mix(opts_.seed, p, window, stable);
+  if (faulty_only) {
+    // Faulty-only quorum around p: legal under conditional
+    // nonintersection precisely because it contains only faulty
+    // processes. This is the history of the paper's §6.3 scenario.
+    return FdValue::of_quorum(
+        noisy_superset(ProcessSet::single(p), faulty_, mix));
+  }
   // Correct modules (and benign faulty ones): {p, kernel} plus noise.
   // Self-inclusion holds by construction; every such quorum contains the
   // kernel, so it intersects every other such quorum, which discharges
   // both intersection properties.
-  const auto benign = [&] {
-    const ProcessSet universe = stable ? correct : all;
-    return FdValue::of_quorum(noisy_superset(
-        ProcessSet::single(p) | ProcessSet::single(kernel_),
-        universe | ProcessSet::single(p), mix));
-  };
+  const ProcessSet& universe = stable ? correct_ : all_;
+  return FdValue::of_quorum(noisy_superset(
+      ProcessSet::single(p) | ProcessSet::single(kernel_),
+      universe | ProcessSet::single(p), mix));
+}
 
-  if (fp_.is_correct(p) || opts_.faulty == FaultyQuorumBehavior::kBenign) {
-    return benign();
+FdValue SigmaNuPlusOracle::value(Pid p, Time t) {
+  const Time window = t / std::max<Time>(1, opts_.hold);
+  const bool stable = t >= opts_.stabilize_at;
+  bool faulty_only = false;
+  if (!fp_.is_correct(p)) {
+    switch (opts_.faulty) {
+      case FaultyQuorumBehavior::kBenign:
+        break;
+      case FaultyQuorumBehavior::kAdversarialDisjoint:
+        faulty_only = true;
+        break;
+      case FaultyQuorumBehavior::kNoise:
+        // Randomly alternate between the two legal shapes. The coin flips
+        // every tick, so this branch is the one draw the memo skips.
+        return draw(p, window, stable,
+                    (oracle_mix(opts_.seed, p, t, 1) & 1) != 0);
+    }
   }
-
-  switch (opts_.faulty) {
-    case FaultyQuorumBehavior::kAdversarialDisjoint:
-      // Faulty-only quorum around p: legal under conditional
-      // nonintersection precisely because it contains only faulty
-      // processes. This is the history of the paper's §6.3 scenario.
-      return FdValue::of_quorum(
-          noisy_superset(ProcessSet::single(p), fp_.faulty(), mix));
-    case FaultyQuorumBehavior::kNoise:
-      // Randomly alternate between the two legal shapes.
-      if (oracle_mix(opts_.seed, p, t, 1) & 1) {
-        return FdValue::of_quorum(
-            noisy_superset(ProcessSet::single(p), fp_.faulty(), mix));
-      }
-      return benign();
-    case FaultyQuorumBehavior::kBenign:
-      break;  // handled above
-  }
-  __builtin_unreachable();
+  return memo_.get(p, window, stable,
+                   [&] { return draw(p, window, stable, faulty_only); });
 }
 
 }  // namespace nucon

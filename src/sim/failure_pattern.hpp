@@ -8,6 +8,7 @@
 // monotone functions F : N -> 2^Pi the paper allows.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,9 +48,12 @@ class FailurePattern {
 
   [[nodiscard]] bool is_correct(Pid p) const { return !faulty_.contains(p); }
 
-  /// True iff p has not crashed by time t (p may still be faulty later).
+  /// True iff p has not crashed by time t (p may still be faulty later),
+  /// i.e. !crashed_at(t).contains(p) without building the set. p in [0, n).
   [[nodiscard]] bool alive_at(Pid p, Time t) const {
-    return !crashed_at(t).contains(p);
+    assert(p >= 0 && p < n_);
+    const Time crash = crash_times_[static_cast<std::size_t>(p)];
+    return crash == kNeverCrashes || t < crash;
   }
 
   [[nodiscard]] Time crash_time(Pid p) const { return crash_times_[static_cast<std::size_t>(p)]; }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace nucon {
 namespace {
 
@@ -22,6 +24,31 @@ TEST(FailurePattern, CrashTimesRespected) {
   EXPECT_FALSE(fp.alive_at(1, 10));
   EXPECT_FALSE(fp.alive_at(1, 11));
   EXPECT_TRUE(fp.alive_at(0, 1000000));
+}
+
+TEST(FailurePattern, AliveAtAgreesWithCrashedAt) {
+  // alive_at reads the crash time directly; it must say exactly what the
+  // set-building definition !crashed_at(t).contains(p) says, on both sides
+  // of each crash, for processes that never crash, and past pid 64.
+  FailurePattern fp(130);
+  fp.set_crash(0, 0);
+  fp.set_crash(5, 17);
+  fp.set_crash(63, 40);
+  fp.set_crash(64, 41);
+  fp.set_crash(129, 100);
+  for (Pid p : {0, 1, 5, 63, 64, 65, 128, 129}) {
+    std::vector<Time> times = {-1, 0, 1, 1000};
+    if (const Time crash = fp.crash_time(p); crash != kNeverCrashes) {
+      times.insert(times.end(), {crash - 1, crash, crash + 1});
+    }
+    for (Time t : times) {
+      EXPECT_EQ(fp.alive_at(p, t), !fp.crashed_at(t).contains(p))
+          << "p=" << p << " t=" << t;
+    }
+  }
+  EXPECT_TRUE(fp.alive_at(64, 40));
+  EXPECT_FALSE(fp.alive_at(64, 41));
+  EXPECT_TRUE(fp.alive_at(128, 1'000'000));
 }
 
 TEST(FailurePattern, CrashedAtIsMonotone) {

@@ -1,11 +1,15 @@
 // Properties of the oracle construction helpers: the noisy-superset
 // generator and the deterministic mix underlie every oracle's legality, so
-// they get their own property tests.
+// they get their own property tests; the window memo gets draw-counting
+// tests of its contract.
 #include "fd/oracle_base.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace nucon {
 namespace {
@@ -71,6 +75,98 @@ TEST(NoisySuperset, DeterministicPerMix) {
     EXPECT_EQ(noisy_superset(core, universe, mix),
               noisy_superset(core, universe, mix));
   }
+}
+
+// --- WindowMemo -------------------------------------------------------------
+
+/// A draw that counts its calls and returns a value unique to the call, so
+/// a test can tell a stored answer from a fresh one.
+struct CountingDraw {
+  int calls = 0;
+  FdValue operator()() {
+    ++calls;
+    return FdValue::of_leader(calls);
+  }
+};
+
+TEST(WindowMemo, HoldPastTheHorizonDrawsAtMostTwicePerProcess) {
+  // The post-GST regime: one window spans the run, so each process draws
+  // once before stabilization and once after, whatever the query order.
+  constexpr Pid kN = 6;
+  constexpr Time kStabilize = 40;
+  constexpr Time kHold = 1'000'000;
+  WindowMemo memo(kN);
+  std::vector<int> draws(kN, 0);
+  Rng rng(17);
+  std::vector<Pid> order;
+  for (Time now = 0; now < 600;) {
+    order.clear();
+    for (Pid p = 0; p < kN; ++p) order.push_back(p);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    for (Pid p : order) {
+      ++now;
+      (void)memo.get(p, now / kHold, now >= kStabilize, [&] {
+        ++draws[static_cast<std::size_t>(p)];
+        return FdValue::of_leader(p);
+      });
+    }
+  }
+  for (Pid p = 0; p < kN; ++p) {
+    EXPECT_EQ(draws[static_cast<std::size_t>(p)], 2) << "p=" << p;
+  }
+}
+
+TEST(WindowMemo, SameKeyIsStoredAndEveryOtherKeyRedraws) {
+  WindowMemo memo(3);
+  CountingDraw draw;
+  const FdValue first = memo.get(1, 5, false, std::ref(draw));
+  EXPECT_EQ(memo.get(1, 5, false, std::ref(draw)), first);
+  EXPECT_EQ(draw.calls, 1);
+  // Another process has its own entry.
+  (void)memo.get(2, 5, false, std::ref(draw));
+  EXPECT_EQ(draw.calls, 2);
+  EXPECT_EQ(memo.get(1, 5, false, std::ref(draw)), first);
+  EXPECT_EQ(draw.calls, 2);
+  // A new window, the stabilization flip, and time going back to the old
+  // window each redraw: the memo keeps only the last key per process.
+  (void)memo.get(1, 6, false, std::ref(draw));
+  EXPECT_EQ(draw.calls, 3);
+  (void)memo.get(1, 6, true, std::ref(draw));
+  EXPECT_EQ(draw.calls, 4);
+  const FdValue again = memo.get(1, 5, false, std::ref(draw));
+  EXPECT_EQ(draw.calls, 5);
+  EXPECT_NE(again, first);  // a fresh draw, not a stale entry
+}
+
+TEST(WindowMemo, EmptyEntryMatchesNoKey) {
+  // No window value marks "empty": negative t reaches negative windows,
+  // and the first query of every key, any sign, must draw.
+  for (const Time window : {Time{0}, Time{-1}, Time{1},
+                            std::numeric_limits<Time>::min(),
+                            std::numeric_limits<Time>::max()}) {
+    for (const bool stable : {false, true}) {
+      WindowMemo memo(2);
+      CountingDraw draw;
+      EXPECT_EQ(memo.get(0, window, stable, std::ref(draw)),
+                FdValue::of_leader(1));
+      EXPECT_EQ(draw.calls, 1) << "window=" << window;
+    }
+  }
+}
+
+TEST(WindowMemo, PidsOutsideTheRangeAreNeverStored) {
+  WindowMemo memo(3);
+  CountingDraw draw;
+  const FdValue in_range = memo.get(0, 0, false, std::ref(draw));
+  for (const Pid p : {-1, 3, 64}) {
+    const int before = draw.calls;
+    (void)memo.get(p, 0, false, std::ref(draw));
+    (void)memo.get(p, 0, false, std::ref(draw));
+    EXPECT_EQ(draw.calls, before + 2) << "p=" << p;
+  }
+  EXPECT_EQ(memo.get(0, 0, false, std::ref(draw)), in_range);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // may be noisy. One table drives the check across all five oracle files
 // (omega.cpp, classic.cpp, sigma.cpp, sigma_nu.cpp, sigma_nu_plus.cpp).
 //
-// Also the regression tests for OmegaOracle's configured-leader validation:
-// a faulty or out-of-range eventual leader must throw, in release builds
-// too, instead of silently violating Omega.
+// Also the regression tests for OmegaOracle's configured-leader validation
+// and SigmaOracle's majority precondition: a faulty or out-of-range
+// eventual leader, or majority quorums without a correct majority, must
+// throw, in release builds too, instead of silently violating the class
+// (or, for majority quorums, dividing by zero).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -242,6 +244,36 @@ TEST(OmegaLeaderValidation, AllFaultyPatternAcceptsAnyInRangeLeader) {
   opts.leader = 1;
   OmegaOracle oracle(fp, opts);
   EXPECT_EQ(oracle.eventual_leader(), 1);
+}
+
+// --- SigmaOracle majority precondition (regression) -------------------------
+
+TEST(SigmaMajorityValidation, MinorityCorrectThrows) {
+  // n=3 with one correct process: past stabilization a release build used
+  // to draw a 2-process majority out of {0} and die on Rng::below(0).
+  FailurePattern fp(3);
+  fp.set_crash(1, 5);
+  fp.set_crash(2, 5);
+  SigmaOptions opts;
+  opts.strategy = SigmaStrategy::kMajority;
+  EXPECT_THROW(SigmaOracle(fp, opts), std::invalid_argument);
+}
+
+TEST(SigmaMajorityValidation, ExactlyHalfCorrectThrows) {
+  FailurePattern fp(4);
+  fp.set_crash(2, 5);
+  fp.set_crash(3, 5);
+  SigmaOptions opts;
+  opts.strategy = SigmaStrategy::kMajority;
+  EXPECT_THROW(SigmaOracle(fp, opts), std::invalid_argument);
+}
+
+TEST(SigmaMajorityValidation, KernelStrategyAcceptsACorrectMinority) {
+  FailurePattern fp(3);
+  fp.set_crash(1, 5);
+  fp.set_crash(2, 5);
+  SigmaOracle oracle(fp, SigmaOptions{});
+  EXPECT_EQ(oracle.value(0, 1000), FdValue::of_quorum(ProcessSet{0}));
 }
 
 }  // namespace

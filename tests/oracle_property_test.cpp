@@ -1,5 +1,7 @@
 // Property sweep: every oracle's generated history must lie in its
-// detector class, across system sizes, fault counts, behaviors and seeds.
+// detector class, across system sizes, fault counts, behaviors and seeds;
+// and every Sigma-family oracle's window memo must answer exactly as the
+// stateless draw does.
 #include <gtest/gtest.h>
 
 #include "fd/classic.hpp"
@@ -8,6 +10,7 @@
 #include "fd/omega.hpp"
 #include "fd/sigma.hpp"
 #include "fd/sigma_nu.hpp"
+#include "oracle_memo_util.hpp"
 
 namespace nucon {
 namespace {
@@ -209,7 +212,10 @@ TEST_P(OracleSweep, NoQuorumOracleEverEmitsAnEmptyQuorum) {
     nu.seed = GetParam().seed;
     nu.faulty = behavior;
     SigmaNuOracle nu_oracle(fp, nu);
-    for (const Sample& s : sample_all(fp, nu_oracle).samples()) {
+    // The history is a named local: a range-for over a member of the
+    // temporary sample_all() returns would read it after it died.
+    const RecordedHistory nu_history = sample_all(fp, nu_oracle);
+    for (const Sample& s : nu_history.samples()) {
       EXPECT_FALSE(s.value.quorum().empty())
           << "Sigma^nu mode " << static_cast<int>(behavior) << " at p=" << s.p
           << " t=" << s.t;
@@ -220,7 +226,8 @@ TEST_P(OracleSweep, NoQuorumOracleEverEmitsAnEmptyQuorum) {
     plus.seed = GetParam().seed;
     plus.faulty = behavior;
     SigmaNuPlusOracle plus_oracle(fp, plus);
-    for (const Sample& s : sample_all(fp, plus_oracle).samples()) {
+    const RecordedHistory plus_history = sample_all(fp, plus_oracle);
+    for (const Sample& s : plus_history.samples()) {
       EXPECT_FALSE(s.value.quorum().empty())
           << "Sigma^nu+ mode " << static_cast<int>(behavior) << " at p=" << s.p
           << " t=" << s.t;
@@ -236,7 +243,8 @@ TEST_P(OracleSweep, NoQuorumOracleEverEmitsAnEmptyQuorum) {
     so.seed = GetParam().seed;
     so.strategy = strategy;
     SigmaOracle oracle(fp, so);
-    for (const Sample& s : sample_all(fp, oracle).samples()) {
+    const RecordedHistory history = sample_all(fp, oracle);
+    for (const Sample& s : history.samples()) {
       EXPECT_FALSE(s.value.quorum().empty()) << "Sigma at p=" << s.p;
     }
   }
@@ -253,6 +261,17 @@ TEST_P(OracleSweep, OracleIsAProperFunctionOfPAndT) {
       EXPECT_EQ(oracle.value(p, t), oracle.value(p, t));
     }
   }
+}
+
+TEST_P(OracleSweep, WindowMemoMatchesStatelessDraw) {
+  // Every Sigma-family oracle, behavior and strategy at hold 1, 8 and 10^6,
+  // queried in scheduler order, in random order with time going backwards,
+  // and with repeated (p, t), including both sides of stabilize_at and of
+  // the window edges k*hold.
+  const FailurePattern fp = pattern();
+  testutil::expect_sigma_family_memo_exact(fp, kStabilize, kHorizon,
+                                           /*random_count=*/300,
+                                           GetParam().seed);
 }
 
 std::vector<SweepParam> sweep_params() {

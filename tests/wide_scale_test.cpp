@@ -9,13 +9,16 @@
 // sequences where every cached considered_faulty / distrusts answer must
 // match the recompute-from-scratch reference (*_slow) — the same checks
 // the !NDEBUG asserts run inline, kept alive here because the CI presets
-// compile with -DNDEBUG.
+// compile with -DNDEBUG. The last part checks the Sigma-family oracles'
+// window memo against the stateless draw on multi-word quorums.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
 #include "core/quorum_history.hpp"
+#include "oracle_memo_util.hpp"
+#include "sim/failure_pattern.hpp"
 #include "util/bytes.hpp"
 #include "util/process_set.hpp"
 #include "util/rng.hpp"
@@ -336,6 +339,31 @@ TEST(QuorumHistoryScale, WideHistoriesStayConsistent) {
       EXPECT_EQ(h.distrusts(p, q), h.distrusts_slow(p, q)) << p << "," << q;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sigma-family window memo vs the stateless draw, past one word.
+
+/// Faulty processes below, at and (for n > 65) past pid 64, crashing before
+/// and after stabilization at 100; a correct majority remains.
+FailurePattern wide_crash_pattern(Pid n) {
+  FailurePattern fp(n);
+  fp.set_crash(3, 20);
+  fp.set_crash(64, 150);
+  if (n - 1 != 64) fp.set_crash(n - 1, 90);
+  return fp;
+}
+
+TEST(WindowMemoScale, MemoizedOraclesMatchStatelessDrawAt65) {
+  testutil::expect_sigma_family_memo_exact(wide_crash_pattern(65),
+                                           /*stabilize=*/100, /*horizon=*/260,
+                                           /*random_count=*/200, /*seed=*/65);
+}
+
+TEST(WindowMemoScale, MemoizedOraclesMatchStatelessDrawAt128) {
+  testutil::expect_sigma_family_memo_exact(wide_crash_pattern(128),
+                                           /*stabilize=*/100, /*horizon=*/260,
+                                           /*random_count=*/200, /*seed=*/128);
 }
 
 }  // namespace
