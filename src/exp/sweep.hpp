@@ -81,10 +81,9 @@ enum class FdSource { kGenerated, kImplemented };
 /// src/fuzz) construct byte-for-byte the same oracles — seed offsets
 /// included — as the sweeps; any configuration replays identically
 /// everywhere. The Sigma-family layers carry a per-process quorum-window
-/// memo (fd/oracle_base.hpp): it changes no answer but is mutable state,
-/// so every job builds its own stack and nothing is shared across threads.
-/// The memo lives and dies with the stack, so nothing carries over from one
-/// run to the next.
+/// memo (fd/oracle_base.hpp): mutable state that changes no answer, so
+/// every job builds its own stack, nothing is shared across threads, and
+/// nothing carries over from one run to the next.
 class AlgoOracles {
  public:
   /// With a non-null `board`, the stack's Omega/<>S layer is an

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <set>
-#include <utility>
 #include <vector>
+
+#include "oracle_memo_util.hpp"
 
 namespace nucon {
 namespace {
@@ -91,27 +93,18 @@ struct CountingDraw {
 
 TEST(WindowMemo, HoldPastTheHorizonDrawsAtMostTwicePerProcess) {
   // The post-GST regime: one window spans the run, so each process draws
-  // once before stabilization and once after, whatever the query order.
+  // once before stabilization and once after.
   constexpr Pid kN = 6;
   constexpr Time kStabilize = 40;
   constexpr Time kHold = 1'000'000;
   WindowMemo memo(kN);
   std::vector<int> draws(kN, 0);
-  Rng rng(17);
-  std::vector<Pid> order;
-  for (Time now = 0; now < 600;) {
-    order.clear();
-    for (Pid p = 0; p < kN; ++p) order.push_back(p);
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.below(i)]);
-    }
-    for (Pid p : order) {
-      ++now;
-      (void)memo.get(p, now / kHold, now >= kStabilize, [&] {
-        ++draws[static_cast<std::size_t>(p)];
-        return FdValue::of_leader(p);
-      });
-    }
+  for (const auto& [p, t] :
+       testutil::scheduler_order(FailurePattern(kN), /*horizon=*/600, 17)) {
+    (void)memo.get(p, t / kHold, t >= kStabilize, [&, p = p] {
+      ++draws[static_cast<std::size_t>(p)];
+      return FdValue::of_leader(p);
+    });
   }
   for (Pid p = 0; p < kN; ++p) {
     EXPECT_EQ(draws[static_cast<std::size_t>(p)], 2) << "p=" << p;
