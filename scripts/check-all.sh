@@ -5,8 +5,8 @@
 # carry one configure step, so the matrix lives here:
 #
 #   check-default   configure + build + the whole ctest suite (RelWithDebInfo)
-#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle-labeled ctest under ASan/UBSan
-#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle-labeled ctest under TSan
+#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag-labeled ctest under ASan/UBSan
+#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag-labeled ctest under TSan
 #
 # (the mc label covers the model checker's parallel-frontier determinism
 # suite, fuzz covers the schedule fuzzer's engine/minimizer/corpus
@@ -14,9 +14,10 @@
 # heartbeat-implemented detectors, prof covers the hot-path profiling
 # probes and the trend/regression engine, and scale covers the wide
 # ProcessSet boundaries plus the incremental QuorumHistory equivalence
-# oracle, and oracle covers the detector-class property sweep and the
-# window memo's check against the stateless draw — all worth re-running
-# under the sanitizers, the scale suite especially because the
+# oracle, oracle covers the detector-class property sweep and the
+# window memo's check against the stateless draw, and dag covers the
+# sample-DAG suites, whose gossip decoder reads untrusted bytes — all
+# worth re-running under the sanitizers, the scale suite especially because the
 # heap-spilled set words are fresh allocator traffic), then runs the
 # quick throughput baselines plus the 10s fuzz smoke campaign
 # (scripts/bench-quick.sh) so a perf regression in the simulation core or

@@ -17,7 +17,7 @@ void ExtractSigmaNu::step(const Incoming* in, const FdValue& d,
   const auto cadence = static_cast<std::uint32_t>(
       effective_gossip_every(opts_.gossip_every, opts_.n));
   if (core_.k() % cadence == 0) {
-    gossip_to_others(core_.self(), opts_.n, core_.gossip(), out);
+    core_.gossip_deltas(out);
   }
 
   if (core_.k() == 1) u_ = fresh;  // line 13

@@ -12,7 +12,7 @@ void SigmaNuToPlus::step(const Incoming* in, const FdValue& d,
                          std::vector<Outgoing>& out) {
   const NodeRef fresh = core_.on_step(in, d);
   if (core_.k() % static_cast<std::uint32_t>(gossip_every_) == 0) {
-    gossip_to_others(core_.self(), n_, core_.gossip(), out);
+    core_.gossip_deltas(out);
   }
 
   if (core_.k() == 1) u_ = fresh;  // line 13

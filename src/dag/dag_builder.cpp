@@ -3,16 +3,19 @@
 namespace nucon {
 
 NodeRef DagCore::on_step(const Incoming* in, const FdValue& d) {
-  if (in != nullptr) {
-    // Malformed or foreign-sized gossip is dropped, matching the listing's
-    // assumption that messages are DAGs.
-    if (auto received = SampleDag::deserialize(*in->payload);
-        received && received->n() == dag_.n()) {
-      dag_.merge_from(*received);
-    }
-  }
+  // Malformed or foreign-sized gossip, or a delta that starts past what
+  // this DAG holds, is dropped whole, matching the listing's assumption
+  // that messages are DAGs.
+  if (in != nullptr) (void)dag_.merge_payload(*in->payload);
   ++k_;
   return dag_.take_sample(self_, d);
+}
+
+void DagCore::gossip_deltas(std::vector<Outgoing>& out) const {
+  SharedBytes::counters().broadcasts += 1;
+  for (Pid r = 0; r < dag_.n(); ++r) {
+    if (r != self_) out.push_back({r, dag_.encode_since(dag_.acked_frontier(r))});
+  }
 }
 
 void gossip_to_others(Pid self, Pid n, SharedBytes payload,

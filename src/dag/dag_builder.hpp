@@ -4,8 +4,11 @@
 // local failure-detector module, append the sample as a new node whose
 // predecessors are everything currently known, and gossip the whole DAG to
 // every process. DagCore is the reusable body of the loop; the Fig. 2 and
-// Fig. 3 transformation algorithms embed it verbatim and add their output
-// computation after line 12, exactly as the paper's listings do.
+// Fig. 3 transformation algorithms embed it and add their output
+// computation after line 12, exactly as the paper's listings do. They
+// gossip each receiver only the part of the DAG it lacks (gossip_deltas);
+// since merging is a union, every process's DAG is the same as with whole
+// DAGs. Standalone A_DAG sends the whole DAG, so E1 reports its cost.
 #pragma once
 
 #include <span>
@@ -19,13 +22,19 @@ class DagCore {
  public:
   DagCore(Pid self, Pid n) : self_(self), dag_(n) {}
 
-  /// Lines 6-11 of Fig. 1: merge the received DAG (if the message carried
-  /// one), record the sample d as node (self, d, k), with edges from every
-  /// known node. Returns the new node (the variable v_p of the listing).
+  /// Lines 6-11 of Fig. 1: merge the received DAG or delta (if the message
+  /// carried one), record the sample d as node (self, d, k), with edges
+  /// from every known node. Returns the new node (the variable v_p of the
+  /// listing).
   NodeRef on_step(const Incoming* in, const FdValue& d);
 
-  /// Line 12: the gossip payload (the whole serialized DAG).
+  /// Line 12 verbatim: the whole serialized DAG.
   [[nodiscard]] Bytes gossip() const { return dag_.serialize(); }
+
+  /// Line 12 with the same effect: each other process r is sent the chain
+  /// suffixes past r's acknowledged frontier (SampleDag::acked_frontier).
+  /// One gossip fan-out, counted as one broadcast.
+  void gossip_deltas(std::vector<Outgoing>& out) const;
 
   [[nodiscard]] const SampleDag& dag() const { return dag_; }
   [[nodiscard]] std::uint32_t k() const { return k_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
 
 namespace nucon {
@@ -10,9 +11,17 @@ SampleDag::SampleDag(Pid n) : n_(n), chains_(static_cast<std::size_t>(n)) {
   assert(n >= 1 && n <= kMaxProcesses);
 }
 
+bool operator==(const SampleDag& a, const SampleDag& b) {
+  if (a.n_ != b.n_) return false;
+  for (std::size_t q = 0; q < a.chains_.size(); ++q) {
+    if (a.chains_[q].nodes != b.chains_[q].nodes) return false;
+  }
+  return true;
+}
+
 const SampleDag::Node& SampleDag::node(NodeRef v) const {
   assert(contains(v));
-  return chains_[static_cast<std::size_t>(v.q)][v.k - 1];
+  return chains_[static_cast<std::size_t>(v.q)].nodes[v.k - 1];
 }
 
 std::vector<std::uint32_t> SampleDag::frontier() const {
@@ -23,81 +32,150 @@ std::vector<std::uint32_t> SampleDag::frontier() const {
 
 NodeRef SampleDag::take_sample(Pid p, const FdValue& d) {
   assert(p >= 0 && p < n_);
-  Node node;
-  node.d = d;
-  node.vc = frontier();
-  chains_[static_cast<std::size_t>(p)].push_back(std::move(node));
+  append(p, Node{d, frontier()});
   return NodeRef{p, count_of(p)};
+}
+
+void SampleDag::append(Pid q, Node node) {
+  Chain& chain = chains_[static_cast<std::size_t>(q)];
+  chain.starts.push_back(chain.enc.size());
+  node.d.encode(chain.enc, n_);
+  for (std::uint32_t c : node.vc) chain.enc.uvarint(c);
+  chain.nodes.push_back(std::move(node));
 }
 
 void SampleDag::merge_from(const SampleDag& other) {
   assert(other.n_ == n_);
   for (Pid q = 0; q < n_; ++q) {
-    auto& mine = chains_[static_cast<std::size_t>(q)];
-    const auto& theirs = other.chains_[static_cast<std::size_t>(q)];
-    for (std::size_t k = mine.size(); k < theirs.size(); ++k) {
-      mine.push_back(theirs[k]);
+    const auto& theirs = other.chains_[static_cast<std::size_t>(q)].nodes;
+    for (std::size_t k = count_of(q); k < theirs.size(); ++k) {
+      append(q, theirs[k]);
     }
   }
 }
 
 std::size_t SampleDag::total_nodes() const {
   std::size_t total = 0;
-  for (const auto& chain : chains_) total += chain.size();
+  for (const Chain& chain : chains_) total += chain.nodes.size();
   return total;
 }
 
 std::uint64_t SampleDag::total_edges() const {
   std::uint64_t total = 0;
-  for (const auto& chain : chains_) {
-    for (const Node& node : chain) {
+  for (const Chain& chain : chains_) {
+    for (const Node& node : chain.nodes) {
       total += std::accumulate(node.vc.begin(), node.vc.end(), std::uint64_t{0});
     }
   }
   return total;
 }
 
-Bytes SampleDag::serialize() const {
+std::vector<std::uint32_t> SampleDag::acked_frontier(Pid r) const {
+  const std::uint32_t j = count_of(r);
+  if (j == 0) return std::vector<std::uint32_t>(static_cast<std::size_t>(n_), 0);
+  std::vector<std::uint32_t> f = node(NodeRef{r, j}).vc;
+  f[static_cast<std::size_t>(r)] = j;
+  return f;
+}
+
+Bytes SampleDag::encode_since(std::span<const std::uint32_t> from) const {
+  assert(from.size() == static_cast<std::size_t>(n_));
+  std::vector<std::uint32_t> start(static_cast<std::size_t>(n_));
+  for (Pid q = 0; q < n_; ++q) {
+    start[static_cast<std::size_t>(q)] =
+        std::min(from[static_cast<std::size_t>(q)], count_of(q));
+  }
+  const bool whole = std::all_of(start.begin(), start.end(),
+                                 [](std::uint32_t s) { return s == 0; });
   ByteWriter w;
-  w.pid(n_);
-  for (const auto& chain : chains_) {
-    w.uvarint(chain.size());
-    for (const Node& node : chain) {
-      node.d.encode(w, n_);
-      for (std::uint32_t c : node.vc) w.uvarint(c);
-    }
+  w.svarint(whole ? n_ : -n_);
+  for (Pid q = 0; q < n_; ++q) {
+    const Chain& chain = chains_[static_cast<std::size_t>(q)];
+    const std::uint32_t s = start[static_cast<std::size_t>(q)];
+    if (!whole) w.uvarint(s);
+    w.uvarint(count_of(q) - s);
+    const std::size_t offset = s < count_of(q) ? chain.starts[s] : chain.enc.size();
+    w.raw(std::span<const std::uint8_t>(chain.enc.buffer()).subspan(offset));
   }
   return w.take();
 }
 
-std::optional<SampleDag> SampleDag::deserialize(const Bytes& data) {
-  ByteReader r(data);
-  const auto n = r.pid();
-  if (!n || *n < 1) return std::nullopt;
-  SampleDag dag(*n);
-  for (Pid q = 0; q < *n; ++q) {
-    const auto len = r.uvarint();
-    // Each node consumes at least one byte per process plus the value, so
-    // any length claim beyond the remaining input is malformed; rejecting
-    // it here keeps attacker-controlled lengths from driving allocation.
-    if (!len || *len > r.remaining()) return std::nullopt;
-    auto& chain = dag.chains_[static_cast<std::size_t>(q)];
-    chain.reserve(static_cast<std::size_t>(*len));
-    for (std::uint64_t k = 0; k < *len; ++k) {
-      Node node;
-      const auto d = FdValue::decode(r, *n);
-      if (!d) return std::nullopt;
-      node.d = *d;
-      node.vc.resize(static_cast<std::size_t>(*n));
-      for (Pid c = 0; c < *n; ++c) {
-        const auto v = r.uvarint();
-        if (!v) return std::nullopt;
-        node.vc[static_cast<std::size_t>(c)] = static_cast<std::uint32_t>(*v);
-      }
-      chain.push_back(std::move(node));
+Bytes SampleDag::serialize() const {
+  return encode_since(std::vector<std::uint32_t>(static_cast<std::size_t>(n_), 0));
+}
+
+bool SampleDag::read_node(ByteReader& r, Pid n, Node* out) {
+  const auto d = FdValue::decode(r, n);
+  if (!d) return false;
+  if (out != nullptr) {
+    out->d = *d;
+    out->vc.resize(static_cast<std::size_t>(n));
+  }
+  for (Pid c = 0; c < n; ++c) {
+    const auto v = r.uvarint();
+    if (!v || *v > std::numeric_limits<std::uint32_t>::max()) return false;
+    if (out != nullptr) {
+      out->vc[static_cast<std::size_t>(c)] = static_cast<std::uint32_t>(*v);
     }
   }
-  if (!r.done()) return std::nullopt;
+  return true;
+}
+
+bool SampleDag::merge_payload(const Bytes& data) {
+  ByteReader r(data);
+  const auto header = r.svarint();
+  if (!header || (*header != n_ && *header != -std::int64_t{n_})) return false;
+  const bool delta = *header < 0;
+
+  // Pass 1 validates every node, the ones this DAG already holds included,
+  // and notes where each chain's first new node starts and where it ends.
+  struct Suffix {
+    std::size_t pos = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<Suffix> suffixes(static_cast<std::size_t>(n_));
+  for (Pid q = 0; q < n_; ++q) {
+    const auto from = delta ? r.uvarint() : std::optional<std::uint64_t>(0);
+    const auto len = r.uvarint();
+    // Each node takes at least one byte per process plus its value, so a
+    // length beyond the remaining input is malformed.
+    if (!from || !len || *from > count_of(q) || *len > r.remaining()) {
+      return false;
+    }
+    const std::uint64_t end = *from + *len;
+    if (end > std::numeric_limits<std::uint32_t>::max()) return false;
+    Suffix& suffix = suffixes[static_cast<std::size_t>(q)];
+    suffix.end = static_cast<std::uint32_t>(end);
+    for (std::uint64_t k = *from; k < end; ++k) {
+      if (k == count_of(q)) suffix.pos = data.size() - r.remaining();
+      if (!read_node(r, n_, nullptr)) return false;
+    }
+  }
+  if (!r.done()) return false;
+
+  // Pass 2 builds only the nodes past this DAG's own counts.
+  for (Pid q = 0; q < n_; ++q) {
+    const Suffix& suffix = suffixes[static_cast<std::size_t>(q)];
+    ByteReader tail(data.data() + suffix.pos, data.size() - suffix.pos);
+    for (std::uint32_t k = count_of(q); k < suffix.end; ++k) {
+      Node node;
+      [[maybe_unused]] const bool ok = read_node(tail, n_, &node);
+      assert(ok);
+      append(q, std::move(node));
+    }
+  }
+  return true;
+}
+
+std::optional<SampleDag> SampleDag::deserialize(const Bytes& data) {
+  ByteReader r(data);
+  const auto header = r.svarint();
+  if (!header || *header == 0 || *header > kMaxProcesses ||
+      *header < -std::int64_t{kMaxProcesses}) {
+    return std::nullopt;
+  }
+  SampleDag dag(static_cast<Pid>(*header < 0 ? -*header : *header));
+  if (!dag.merge_payload(data)) return std::nullopt;
   return dag;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,7 +73,9 @@ class ByteWriter {
 
   /// Appends the bytes verbatim, no length prefix (framing protocols that
   /// delimit by "rest of the message").
-  void raw(const Bytes& b) { out_.insert(out_.end(), b.begin(), b.end()); }
+  void raw(std::span<const std::uint8_t> b) {
+    out_.insert(out_.end(), b.begin(), b.end());
+  }
 
   [[nodiscard]] Bytes take() { return std::move(out_); }
   [[nodiscard]] std::size_t size() const { return out_.size(); }

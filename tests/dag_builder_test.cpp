@@ -116,6 +116,21 @@ TEST(DagBuilder, GossipCarriesWholeDag) {
   EXPECT_EQ(decoded->total_edges(), core.dag().total_edges());
 }
 
+TEST(DagBuilder, WholePayloadMergedIntoEmptyEqualsDeserialize) {
+  FailurePattern fp(4);
+  fp.set_crash(2, 50);
+  const AdagRun r = run_adag(fp, 7, 900);
+  const SampleDag& dag = r.automaton(1).core().dag();
+  const Bytes whole = r.automaton(1).core().gossip();
+  SampleDag merged(4);
+  ASSERT_TRUE(merged.merge_payload(whole));
+  const auto decoded = SampleDag::deserialize(whole);
+  ASSERT_TRUE(decoded);
+  EXPECT_TRUE(merged == *decoded);
+  EXPECT_TRUE(merged == dag);
+  EXPECT_EQ(merged.serialize(), whole);
+}
+
 TEST(DagBuilder, MalformedGossipIsIgnored) {
   AdagAutomaton a(0, 3);
   std::vector<Outgoing> out;

@@ -14,6 +14,7 @@
 
 #include "algo/harness.hpp"
 #include "algo/mr_consensus.hpp"
+#include "core/stacked_nuc.hpp"
 #include "dag/dag_builder.hpp"
 #include "fd/omega.hpp"
 #include "fd/scripted.hpp"
@@ -133,12 +134,50 @@ TEST(SharedPayloads, AnucBroadcastsShareNotCopy) {
   EXPECT_GE(reduction(c), static_cast<double>(n - 2) / (n - 1));
 }
 
+// StackedNuc's DAG gossip is per-receiver unicasts, so its aggregate
+// reduction says nothing about broadcasts. What the multiplexer must keep:
+// the shares of one A_nuc broadcast leave on one framed buffer, and
+// reframe_sends deep-copies each distinct inner buffer exactly once.
 TEST(SharedPayloads, StackedNucBroadcastsShareNotCopy) {
   const Pid n = 6;
-  const PayloadCounters c = measure_point(exp::Algo::kStacked, n);
-  ASSERT_GT(c.broadcasts, 0u);
-  ASSERT_GT(c.shares, 0u);
-  EXPECT_GE(reduction(c), static_cast<double>(n - 2) / (n - 1));
+  StackedNuc stacked(0, 1, n);
+  FdValue d = FdValue::of_leader(0);
+  d.set_quorum(ProcessSet::full(n));
+  std::vector<Outgoing> out;
+  stacked.step(nullptr, d, out);  // A_nuc's first step: LEAD to all n
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
+  for (const Outgoing& o : out) {
+    EXPECT_EQ(o.payload.raw(), out.front().payload.raw());
+    EXPECT_EQ(o.payload.get().front(), 1);  // the A_nuc channel
+  }
+
+  const SharedBytes wide(Bytes(100, 7));
+  const SharedBytes narrow(Bytes{1, 2, 3});
+  const SharedBytes single(Bytes{9});
+  std::vector<Outgoing> sends;
+  for (Pid q = 0; q < n; ++q) sends.push_back({q, wide});
+  sends.push_back({2, single});
+  for (Pid q = 0; q < 3; ++q) sends.push_back({q, narrow});
+  ByteWriter scratch;
+  std::vector<Outgoing> framed;
+  const PayloadCounters before = SharedBytes::counters();
+  reframe_sends(sends, scratch,
+                [](ByteWriter& w, const Bytes& payload) {
+                  w.u8(0);
+                  w.raw(payload);
+                },
+                framed);
+  const PayloadCounters c = SharedBytes::counters() - before;
+  EXPECT_EQ(c.copied_bytes, (100u + 1) + (1 + 1) + (3 + 1));
+  ASSERT_EQ(framed.size(), sends.size());
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    EXPECT_EQ(framed[i].to, sends[i].to);
+    EXPECT_EQ(framed[i].payload.get().size(), sends[i].payload.size() + 1);
+    const bool same_inner =
+        i > 0 && sends[i].payload.raw() == sends[i - 1].payload.raw();
+    EXPECT_EQ(same_inner,
+              i > 0 && framed[i].payload.raw() == framed[i - 1].payload.raw());
+  }
 }
 
 TEST(SharedPayloads, DagGossipCopiesNothing) {
