@@ -7,12 +7,14 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "exp/thread_pool.hpp"
+#include "sim/step.hpp"
 
 namespace nucon {
 namespace {
@@ -932,18 +934,22 @@ void parallel_layer(Engine& engine, exp::ThreadPool& pool,
 // ---------------------------------------------------------------------------
 // The frozen pre-overhaul engine (model_check_consensus_replay_baseline):
 // single-threaded DFS, O(depth) path replay per node, 64-bit dedup over
-// snapshot(). Kept verbatim as the bench baseline and for automata without
+// snapshot(). Kept as the bench baseline and for automata without
 // complete-state support.
 // ---------------------------------------------------------------------------
 
 struct MState {
+  explicit MState(Pid n)
+      : namer(n), own_steps(static_cast<std::size_t>(n), 0) {}
+
   std::vector<std::unique_ptr<ConsensusAutomaton>> automata;
   MessageBuffer buffer;
-  std::vector<std::uint64_t> send_seq;
+  SendNamer namer;
   std::vector<int> own_steps;
 };
 
-void apply(const McOptions& opts, MState& state, const McStep& step) {
+/// Takes `step` at logical time t, its index in the path.
+void apply(const McOptions& opts, MState& state, const McStep& step, Time t) {
   const Pid p = step.p;
   std::optional<Message> msg;
   if (step.delivery >= 0) {
@@ -951,38 +957,24 @@ void apply(const McOptions& opts, MState& state, const McStep& step) {
            state.buffer.pending_for(p));
     msg = state.buffer.take(p, static_cast<std::size_t>(step.delivery));
   }
-  ++state.own_steps[static_cast<std::size_t>(p)];
-  const FdValue d = opts.fd(p, state.own_steps[static_cast<std::size_t>(p)]);
-
+  const FdValue d = opts.fd(p, ++state.own_steps[static_cast<std::size_t>(p)]);
   std::vector<Outgoing> sends;
-  if (msg) {
-    const Incoming in{msg->id.sender, &msg->payload.get()};
-    state.automata[static_cast<std::size_t>(p)]->step(&in, d, sends);
-  } else {
-    state.automata[static_cast<std::size_t>(p)]->step(nullptr, d, sends);
-  }
+  deliver(*state.automata[static_cast<std::size_t>(p)], msg, d, sends);
   for (Outgoing& o : sends) {
-    Message m;
-    m.id = MsgId{p, ++state.send_seq[static_cast<std::size_t>(p)]};
-    m.to = o.to;
-    // sent_at only orders causality checks; the per-process step count is
-    // a valid logical stamp here.
-    m.sent_at = state.own_steps[static_cast<std::size_t>(p)];
-    m.payload = std::move(o.payload);
-    state.buffer.add(std::move(m));
+    state.buffer.add(state.namer.name(p, std::move(o), t));
   }
 }
 
 MState materialize(const McOptions& opts, const std::vector<McStep>& path) {
-  MState state;
+  MState state(opts.n);
   state.automata.reserve(static_cast<std::size_t>(opts.n));
   for (Pid p = 0; p < opts.n; ++p) {
     state.automata.push_back(
         opts.make(p, opts.proposals[static_cast<std::size_t>(p)]));
   }
-  state.send_seq.assign(static_cast<std::size_t>(opts.n), 0);
-  state.own_steps.assign(static_cast<std::size_t>(opts.n), 0);
-  for (const McStep& step : path) apply(opts, state, step);
+  for (std::size_t t = 0; t < path.size(); ++t) {
+    apply(opts, state, path[t], static_cast<Time>(t));
+  }
   return state;
 }
 
@@ -1223,46 +1215,35 @@ std::optional<std::string> replay_witness(const McOptions& opts,
     automata.push_back(opts.make(p, opts.proposals[static_cast<std::size_t>(p)]));
   }
   std::vector<int> own_steps(static_cast<std::size_t>(opts.n), 0);
-  std::vector<std::uint64_t> send_seq(static_cast<std::size_t>(opts.n), 0);
-  struct LiveWire {
-    Pid to;
-    MsgId id;
-    SharedBytes payload;
-  };
-  const auto live_before = [](const LiveWire& a, const LiveWire& b) {
-    return std::tie(a.to, a.id.sender, a.id.seq) <
-           std::tie(b.to, b.id.sender, b.id.seq);
-  };
-  std::vector<LiveWire> wires;
+  MessageBuffer buffer;
+  SendNamer namer(opts.n);
+  std::vector<Outgoing> sends;
+  std::vector<std::size_t> order;
 
-  for (const McStep& s : witness) {
+  for (std::size_t t = 0; t < witness.size(); ++t) {
+    const McStep& s = witness[t];
     if (s.p < 0 || s.p >= opts.n) return std::nullopt;
     const auto pi = static_cast<std::size_t>(s.p);
-    const int own = ++own_steps[pi];
-    const FdValue d = opts.fd(s.p, own);
-    std::vector<Outgoing> sends;
+    const FdValue d = opts.fd(s.p, ++own_steps[pi]);
+    std::optional<Message> msg;
     if (s.delivery >= 0) {
-      // Locate the s.delivery-th canonical pending message for p.
-      int local = -1;
-      std::size_t at = wires.size();
-      for (std::size_t i = 0; i < wires.size(); ++i) {
-        if (wires[i].to == s.p && ++local == s.delivery) {
-          at = i;
-          break;
-        }
-      }
-      if (at == wires.size()) return std::nullopt;
-      if (s.msg.sender >= 0 && !(wires[at].id == s.msg)) return std::nullopt;
-      const Incoming in{wires[at].id.sender, &wires[at].payload.get()};
-      automata[pi]->step(&in, d, sends);
-      wires.erase(wires.begin() + static_cast<std::ptrdiff_t>(at));
-    } else {
-      automata[pi]->step(nullptr, d, sends);
+      // The s.delivery-th pending message for p in canonical order.
+      const auto k = static_cast<std::size_t>(s.delivery);
+      order.resize(buffer.pending_for(s.p));
+      if (k >= order.size()) return std::nullopt;
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::nth_element(order.begin(),
+                       order.begin() + static_cast<std::ptrdiff_t>(k),
+                       order.end(), [&](std::size_t a, std::size_t b) {
+                         return buffer.peek(s.p, a).id < buffer.peek(s.p, b).id;
+                       });
+      msg = buffer.take(s.p, order[k]);
+      if (s.msg.sender >= 0 && msg->id != s.msg) return std::nullopt;
     }
+    deliver(*automata[pi], msg, d, sends);
     for (Outgoing& o : sends) {
-      wires.push_back({o.to, MsgId{s.p, ++send_seq[pi]}, std::move(o.payload)});
+      buffer.add(namer.name(s.p, std::move(o), static_cast<Time>(t)));
     }
-    std::sort(wires.begin(), wires.end(), live_before);
   }
 
   for (Pid p = 0; p < opts.n; ++p) {

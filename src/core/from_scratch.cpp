@@ -15,42 +15,17 @@ FromScratchConsensus::FromScratchConsensus(Pid self, Value proposal, Pid n,
       sigma_(self, n, t),
       consensus_(self, proposal, MrOptions{n, MrQuorumMode::kFdQuorum}) {}
 
-void FromScratchConsensus::step_component(Automaton& component,
-                                          const Incoming* in, const FdValue& d,
-                                          std::uint8_t channel,
-                                          std::vector<Outgoing>& out) {
-  component_sends_.clear();
-  component.step(in, d, component_sends_);
-  reframe_sends(component_sends_, frame_scratch_,
-                [channel](ByteWriter& w, const Bytes& payload) {
-                  w.u8(channel);
-                  w.raw(payload);
-                },
-                out);
-}
-
 void FromScratchConsensus::step(const Incoming* in, const FdValue& d,
                                 std::vector<Outgoing>& out) {
   (void)d;  // no oracle anywhere in this stack
 
-  const Incoming* routed[3] = {nullptr, nullptr, nullptr};
-  Incoming inner;
-  if (in != nullptr && !in->payload->empty()) {
-    const std::uint8_t channel = in->payload->front();
-    if (channel <= kChannelConsensus) {
-      demux_.assign(in->payload->begin() + 1, in->payload->end());
-      inner = Incoming{in->from, &demux_};
-      routed[channel] = &inner;
-    }
-  }
-
-  step_component(omega_, routed[kChannelOmega], FdValue{}, kChannelOmega, out);
-  step_component(sigma_, routed[kChannelSigma], FdValue{}, kChannelSigma, out);
+  mux_.receive(in);
+  mux_.step(omega_, kChannelOmega, FdValue{}, out);
+  mux_.step(sigma_, kChannelSigma, FdValue{}, out);
 
   const FdValue synthesized = FdValue::combine(
       omega_.emulated_output(), sigma_.emulated_output());
-  step_component(consensus_, routed[kChannelConsensus], synthesized,
-                 kChannelConsensus, out);
+  mux_.step(consensus_, kChannelConsensus, synthesized, out);
 }
 
 ConsensusFactory make_from_scratch(Pid n, Pid t) {

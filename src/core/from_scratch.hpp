@@ -40,20 +40,10 @@ class FromScratchConsensus final : public ConsensusAutomaton {
   [[nodiscard]] const MrConsensus& consensus() const { return consensus_; }
 
  private:
-  void step_component(Automaton& component, const Incoming* in,
-                      const FdValue& d, std::uint8_t channel,
-                      std::vector<Outgoing>& out);
-
   OmegaElection omega_;
   SigmaFromMajority sigma_;
   MrConsensus consensus_;
-
-  /// Reused per-step scratch: the component's raw sends, the framing
-  /// writer (each distinct broadcast payload framed once and re-shared),
-  /// and the demultiplexed inner payload of the received message.
-  std::vector<Outgoing> component_sends_;
-  ByteWriter frame_scratch_;
-  Bytes demux_;
+  ChannelMux mux_;
 };
 
 [[nodiscard]] ConsensusFactory make_from_scratch(Pid n, Pid t);

@@ -11,44 +11,17 @@ constexpr std::uint8_t kChannelConsensus = 1;
 StackedNuc::StackedNuc(Pid self, Value proposal, Pid n, int gossip_every)
     : transform_(self, n, gossip_every), consensus_(self, proposal, n) {}
 
-void StackedNuc::step_component(Automaton& component, const Incoming* in,
-                                const FdValue& d, std::uint8_t channel,
-                                std::vector<Outgoing>& out) {
-  component_sends_.clear();
-  component.step(in, d, component_sends_);
-  reframe_sends(component_sends_, frame_scratch_,
-                [channel](ByteWriter& w, const Bytes& payload) {
-                  w.u8(channel);
-                  w.raw(payload);
-                },
-                out);
-}
-
 void StackedNuc::step(const Incoming* in, const FdValue& d,
                       std::vector<Outgoing>& out) {
-  // Demultiplex the received message (if any) to its component.
-  const Incoming* for_transform = nullptr;
-  const Incoming* for_consensus = nullptr;
-  Incoming inner;
-  if (in != nullptr && !in->payload->empty()) {
-    const std::uint8_t channel = in->payload->front();
-    demux_.assign(in->payload->begin() + 1, in->payload->end());
-    inner = Incoming{in->from, &demux_};
-    if (channel == kChannelTransform) {
-      for_transform = &inner;
-    } else if (channel == kChannelConsensus) {
-      for_consensus = &inner;
-    }
-  }
+  mux_.receive(in);
 
   // The transformation samples the raw Sigma^nu quorum.
-  step_component(transform_, for_transform, d, kChannelTransform, out);
+  mux_.step(transform_, kChannelTransform, d, out);
 
   // A_nuc sees (Omega directly, Sigma^nu+ through the output variable).
   FdValue synthesized = transform_.emulated_output();
   if (d.has_leader()) synthesized.set_leader(d.leader());
-  step_component(consensus_, for_consensus, synthesized, kChannelConsensus,
-                 out);
+  mux_.step(consensus_, kChannelConsensus, synthesized, out);
 }
 
 ConsensusFactory make_stacked_nuc(Pid n, int gossip_every) {

@@ -35,8 +35,8 @@ class StackedNuc final : public ConsensusAutomaton {
     return consensus_.snapshot();
   }
 
-  /// Complete state = both components' complete states (the per-step
-  /// scratch members are overwritten before every use).
+  /// Complete state = both components' complete states (the mux is
+  /// per-step scratch, overwritten before every use).
   [[nodiscard]] bool save_state(ByteWriter& w) const override {
     return transform_.save_state(w) && consensus_.save_state(w);
   }
@@ -55,20 +55,9 @@ class StackedNuc final : public ConsensusAutomaton {
     return new StackedNuc(*this);
   }
 
-  /// Runs one sub-automaton step and wraps its sends with `channel`.
-  void step_component(Automaton& component, const Incoming* in,
-                      const FdValue& d, std::uint8_t channel,
-                      std::vector<Outgoing>& out);
-
   SigmaNuToPlus transform_;
   Anuc consensus_;
-
-  /// Reused per-step scratch: the component's raw sends, the framing
-  /// writer (each distinct broadcast payload framed once and re-shared),
-  /// and the demultiplexed inner payload of the received message.
-  std::vector<Outgoing> component_sends_;
-  ByteWriter frame_scratch_;
-  Bytes demux_;
+  ChannelMux mux_;
 };
 
 [[nodiscard]] ConsensusFactory make_stacked_nuc(Pid n, int gossip_every = 0);

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "sim/message.hpp"
+#include "sim/step.hpp"
 
 namespace nucon {
 
@@ -24,7 +24,7 @@ ChainSimOutcome simulate_chain(const SampleDag& dag,
   }
 
   MessageBuffer buffer;
-  std::vector<std::uint64_t> send_seq(static_cast<std::size_t>(n), 0);
+  SendNamer namer(n);
   std::vector<Outgoing> sends;
 
   for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -37,21 +37,9 @@ ChainSimOutcome simulate_chain(const SampleDag& dag,
     std::optional<Message> msg;
     if (buffer.pending_for(p) > 0) msg = buffer.take(p, 0);
 
-    sends.clear();
-    if (msg) {
-      const Incoming in{msg->id.sender, &msg->payload.get(), &msg->payload};
-      automata[static_cast<std::size_t>(p)]->step(&in, d, sends);
-    } else {
-      automata[static_cast<std::size_t>(p)]->step(nullptr, d, sends);
-    }
-
+    deliver(*automata[static_cast<std::size_t>(p)], msg, d, sends);
     for (Outgoing& o : sends) {
-      Message m;
-      m.id = MsgId{p, ++send_seq[static_cast<std::size_t>(p)]};
-      m.to = o.to;
-      m.sent_at = static_cast<Time>(i);
-      m.payload = std::move(o.payload);
-      buffer.add(std::move(m));
+      buffer.add(namer.name(p, std::move(o), static_cast<Time>(i)));
     }
 
     if (!outcome.observer_decided) {

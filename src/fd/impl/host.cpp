@@ -15,39 +15,12 @@ FdHost::FdHost(Pid self, Pid n, HeartbeatMode mode,
       inner_(std::move(inner)),
       board_(std::move(board)) {}
 
-void FdHost::step_component(Automaton& component, const Incoming* in,
-                            const FdValue& d, std::uint8_t channel,
-                            std::vector<Outgoing>& out) {
-  component_sends_.clear();
-  component.step(in, d, component_sends_);
-  reframe_sends(component_sends_, frame_scratch_,
-                [channel](ByteWriter& w, const Bytes& payload) {
-                  w.u8(channel);
-                  w.raw(payload);
-                },
-                out);
-}
-
 void FdHost::step(const Incoming* in, const FdValue& d,
                   std::vector<Outgoing>& out) {
-  const Incoming* for_fd = nullptr;
-  const Incoming* for_inner = nullptr;
-  Incoming inner_in;
-  if (in != nullptr && !in->payload->empty()) {
-    const std::uint8_t channel = in->payload->front();
-    demux_.assign(in->payload->begin() + 1, in->payload->end());
-    inner_in = Incoming{in->from, &demux_};
-    if (channel == kChannelFd) {
-      for_fd = &inner_in;
-    } else if (channel == kChannelInner) {
-      for_inner = &inner_in;
-    }
-  }
-
-  step_component(hb_, for_fd, d, kChannelFd, out);
+  mux_.receive(in);
+  mux_.step(hb_, kChannelFd, d, out);
   board_->publish(hb_.self(), hb_.output());
-
-  step_component(*inner_, for_inner, d, kChannelInner, out);
+  mux_.step(*inner_, kChannelInner, d, out);
 }
 
 HostedConsensus make_hosted_consensus(ConsensusFactory inner, Pid n,

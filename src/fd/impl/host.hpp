@@ -86,19 +86,10 @@ class FdHost final : public ConsensusAutomaton {
   [[nodiscard]] const ConsensusAutomaton& inner() const { return *inner_; }
 
  private:
-  /// Runs one sub-automaton step and wraps its sends with `channel`.
-  void step_component(Automaton& component, const Incoming* in,
-                      const FdValue& d, std::uint8_t channel,
-                      std::vector<Outgoing>& out);
-
   HeartbeatFd hb_;
   std::unique_ptr<ConsensusAutomaton> inner_;
   std::shared_ptr<FdBoard> board_;
-
-  // Reused per-step scratch (see StackedNuc).
-  std::vector<Outgoing> component_sends_;
-  ByteWriter frame_scratch_;
-  Bytes demux_;
+  ChannelMux mux_;
 };
 
 /// A hosted consensus stack: the factory builds FdHost automata that all

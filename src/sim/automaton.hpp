@@ -132,14 +132,13 @@ inline void broadcast(Pid n, SharedBytes payload, std::vector<Outgoing>& out) {
   for (Pid q = 0; q < n; ++q) out.push_back({q, payload});
 }
 
-/// Helper for multiplexing automata (StackedNuc, FromScratchConsensus,
-/// ReplicatedLog): re-emits a component's sends, each payload re-encoded
-/// by `write_frame(ByteWriter&, const Bytes& payload)` (typically a
-/// channel byte or instance header plus the payload). Shares of one
-/// broadcast payload (same buffer identity) are framed once and the frame
-/// re-shared, so framing does not undo the broadcast's copy elision;
-/// `scratch` only grows, so steady-state framing does not allocate for
-/// the encode itself.
+/// Helper for multiplexing automata (ChannelMux below, ReplicatedLog):
+/// re-emits a component's sends, each payload re-encoded by
+/// `write_frame(ByteWriter&, const Bytes& payload)` (a channel byte or an
+/// instance header plus the payload). Shares of one broadcast payload
+/// (same buffer identity) are framed once and the frame re-shared, so
+/// framing does not undo the broadcast's copy elision; `scratch` only
+/// grows, so steady-state framing does not allocate for the encode itself.
 template <typename WriteFrame>
 void reframe_sends(std::vector<Outgoing>& sends, ByteWriter& scratch,
                    WriteFrame&& write_frame, std::vector<Outgoing>& out) {
@@ -155,5 +154,32 @@ void reframe_sends(std::vector<Outgoing>& sends, ByteWriter& scratch,
     out.push_back({o.to, framed});
   }
 }
+
+/// One link shared by the components of a stacked automaton (StackedNuc,
+/// FromScratchConsensus, FdHost): every message carries a one-byte channel
+/// prefix naming the component it belongs to. A step calls receive() once,
+/// then step() for each component in the order the composition needs.
+class ChannelMux {
+ public:
+  /// Opens the step's message (nullptr for lambda): reads its channel and
+  /// copies out the payload past the prefix.
+  void receive(const Incoming* in);
+
+  /// Steps `component` on the opened message if it is on `channel`, else
+  /// on lambda, and appends the component's sends to `out`, each prefixed
+  /// with `channel`. An empty payload or a channel no component steps on
+  /// reaches every component as lambda.
+  void step(Automaton& component, std::uint8_t channel, const FdValue& d,
+            std::vector<Outgoing>& out);
+
+ private:
+  // Plain values only, so a cloned composition's copy of the mux holds
+  // nothing that points into the original.
+  int channel_ = -1;  // channel of the opened message; -1 for lambda
+  Pid from_ = -1;
+  Bytes payload_;     // the opened message without its channel byte
+  std::vector<Outgoing> sends_;
+  ByteWriter frame_;
+};
 
 }  // namespace nucon

@@ -8,9 +8,11 @@ void MessageBuffer::add(Message m) {
   assert(m.to >= 0 && m.to < kMaxProcesses);
   const auto to = static_cast<std::size_t>(m.to);
   if (to >= queues_.size()) queues_.resize(to + 1);
-  // Send times are the scheduler's global clock, which never moves
-  // backwards, so each destination FIFO stays sorted by sent_at and
-  // oldest_sent_at can read front() instead of scanning.
+  // Every executor stamps sends with a run-wide logical clock that never
+  // moves backwards (the scheduler's time, a replayed run's step times, a
+  // path's step index; see SendNamer), so each destination FIFO stays
+  // sorted by sent_at and oldest_sent_at can read front() instead of
+  // scanning.
   assert(queues_[to].empty() || queues_[to].back().sent_at <= m.sent_at);
   queues_[to].push_back(std::move(m));
   ++total_;

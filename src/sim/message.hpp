@@ -6,6 +6,7 @@
 // reason) and lets recorded schedules be replayed deterministically.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -19,12 +20,13 @@
 namespace nucon {
 
 /// Identifies one message: the k-th message ever sent by `sender`
-/// (counting across all destinations, starting at 1).
+/// (counting across all destinations, starting at 1). Ordered by (sender,
+/// seq), the model checker's canonical order of pending messages.
 struct MsgId {
   Pid sender = -1;
   std::uint64_t seq = 0;
 
-  friend bool operator==(const MsgId&, const MsgId&) = default;
+  friend auto operator<=>(const MsgId&, const MsgId&) = default;
 };
 
 struct Message {

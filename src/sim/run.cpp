@@ -1,6 +1,6 @@
 #include "sim/run.hpp"
 
-#include <cassert>
+#include "sim/step.hpp"
 
 namespace nucon {
 
@@ -9,7 +9,7 @@ ReplayOutcome replay(const Run& run, Pid n, const AutomatonFactory& make) {
   out.automata.reserve(static_cast<std::size_t>(n));
   for (Pid p = 0; p < n; ++p) out.automata.push_back(make(p));
 
-  std::vector<std::uint64_t> send_seq(static_cast<std::size_t>(n), 0);
+  SendNamer namer(n);
   std::vector<Outgoing> sends;
 
   for (std::size_t i = 0; i < run.steps.size(); ++i) {
@@ -39,21 +39,9 @@ ReplayOutcome replay(const Run& run, Pid n, const AutomatonFactory& make) {
       }
     }
 
-    sends.clear();
-    if (msg) {
-      const Incoming in{msg->id.sender, &msg->payload.get(), &msg->payload};
-      out.automata[static_cast<std::size_t>(s.p)]->step(&in, s.d, sends);
-    } else {
-      out.automata[static_cast<std::size_t>(s.p)]->step(nullptr, s.d, sends);
-    }
-
+    deliver(*out.automata[static_cast<std::size_t>(s.p)], msg, s.d, sends);
     for (Outgoing& o : sends) {
-      assert(o.to >= 0 && o.to < n);
-      Message m;
-      m.id = MsgId{s.p, ++send_seq[static_cast<std::size_t>(s.p)]};
-      m.to = o.to;
-      m.sent_at = s.t;
-      m.payload = std::move(o.payload);
+      Message m = namer.name(s.p, std::move(o), s.t);
       out.bytes_sent += m.payload.size();
       ++out.messages_sent;
       out.leftover.add(std::move(m));

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "prof/profiler.hpp"
+#include "sim/step.hpp"
 #include "trace/trace_recorder.hpp"
 #include "util/rng.hpp"
 
@@ -135,7 +136,7 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
 
   Rng rng(opts.seed);
   MessageBuffer buffer;
-  std::vector<std::uint64_t> send_seq(static_cast<std::size_t>(n), 0);
+  SendNamer namer(n);
 
   const ProcessSet schedulable = opts.restrict_to.empty()
                                      ? ProcessSet::full(n)
@@ -223,24 +224,12 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
       }
       probe.lap(prof::Phase::kTraceHook);
 
-      sends.clear();
-      if (msg) {
-        const Incoming in{msg->id.sender, &msg->payload.get(), &msg->payload};
-        result.automata[static_cast<std::size_t>(p)]->step(&in, d, sends);
-      } else {
-        result.automata[static_cast<std::size_t>(p)]->step(nullptr, d, sends);
-      }
+      deliver(*result.automata[static_cast<std::size_t>(p)], msg, d, sends);
       probe.lap(prof::Phase::kAutomatonStep);
 
       for (Outgoing& o : sends) {
-        assert(o.to >= 0 && o.to < n);
-        Message m;
-        m.id = MsgId{p, ++send_seq[static_cast<std::size_t>(p)]};
-        m.to = o.to;
-        m.sent_at = now;
-        m.ready_at =
-            timed ? now + opts.timing.message_delay(p, m.id.seq, o.to) : now;
-        m.payload = std::move(o.payload);  // moves the share, not the bytes
+        Message m = namer.name(p, std::move(o), now);
+        if (timed) m.ready_at += opts.timing.message_delay(p, m.id.seq, m.to);
         result.bytes_sent += m.payload.size();
         ++result.messages_sent;
         ++m_sends;

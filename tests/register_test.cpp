@@ -8,6 +8,7 @@
 
 #include "fd/sigma.hpp"
 #include "fd/sigma_nu.hpp"
+#include "sim/step.hpp"
 
 namespace nucon {
 namespace {
@@ -67,9 +68,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, AbdSigmaSweep, testing::ValuesIn(reg_params()),
 /// finite run of the model (messages may be delayed arbitrarily).
 class ManualSim {
  public:
-  ManualSim(Pid n, AutomatonFactory make) : n_(n) {
+  ManualSim(Pid n, AutomatonFactory make) : namer_(n) {
     for (Pid p = 0; p < n; ++p) automata_.push_back(make(p));
-    seq_.assign(static_cast<std::size_t>(n), 0);
   }
 
   /// Steps p, delivering the oldest pending message whose sender satisfies
@@ -85,20 +85,8 @@ class ManualSim {
       }
     }
     std::vector<Outgoing> sends;
-    if (msg) {
-      const Incoming in{msg->id.sender, &msg->payload.get()};
-      automata_[static_cast<std::size_t>(p)]->step(&in, d, sends);
-    } else {
-      automata_[static_cast<std::size_t>(p)]->step(nullptr, d, sends);
-    }
-    for (Outgoing& o : sends) {
-      Message m;
-      m.id = MsgId{p, ++seq_[static_cast<std::size_t>(p)]};
-      m.to = o.to;
-      m.sent_at = now_;
-      m.payload = std::move(o.payload);
-      buffer_.add(std::move(m));
-    }
+    deliver(*automata_[static_cast<std::size_t>(p)], msg, d, sends);
+    for (Outgoing& o : sends) buffer_.add(namer_.name(p, std::move(o), now_));
     if (auto* reg = dynamic_cast<AbdRegister*>(
             automata_[static_cast<std::size_t>(p)].get())) {
       reg->stamp_times(now_);
@@ -113,10 +101,9 @@ class ManualSim {
   }
 
  private:
-  Pid n_;
   std::vector<std::unique_ptr<Automaton>> automata_;
   MessageBuffer buffer_;
-  std::vector<std::uint64_t> seq_;
+  SendNamer namer_;
   Time now_ = 0;
 };
 
