@@ -1,12 +1,18 @@
 #!/usr/bin/env sh
 # check-all: the full verification matrix in one command.
 #
-# Chains the three CMake workflow presets — a workflow preset can only
+# Chains the four CMake workflow presets — a workflow preset can only
 # carry one configure step, so the matrix lives here:
 #
 #   check-default   configure + build + the whole ctest suite (RelWithDebInfo)
-#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag-labeled ctest under ASan/UBSan
-#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag-labeled ctest under TSan
+#   check-debug     configure + build + the whole ctest suite (Debug)
+#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim-labeled ctest under ASan/UBSan
+#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim-labeled ctest under TSan
+#
+# (check-debug is the one run without NDEBUG, so the assert-only checks
+# execute there: QuorumHistory's cache against the quadratic recompute,
+# the scheduler's FIFO-order and shard-sum checks, MessageBuffer's
+# send-order check.)
 #
 # (the mc label covers the model checker's parallel-frontier determinism
 # suite, fuzz covers the schedule fuzzer's engine/minimizer/corpus
@@ -16,7 +22,10 @@
 # ProcessSet boundaries plus the incremental QuorumHistory equivalence
 # oracle, oracle covers the detector-class property sweep and the
 # window memo's check against the stateless draw, and dag covers the
-# sample-DAG suites, whose gossip decoder reads untrusted bytes — all
+# sample-DAG suites, whose gossip decoder reads untrusted bytes, and sim
+# covers the executors that step through the step kernel (scheduler,
+# replay, Lemma 2.2 merging, the hand-driven register runs) and the
+# stacked automata that share a link through ChannelMux — all
 # worth re-running under the sanitizers, the scale suite especially because the
 # heap-spilled set words are fresh allocator traffic), then runs the
 # quick throughput baselines plus the 10s fuzz smoke campaign
@@ -28,7 +37,7 @@
 # Usage: scripts/check-all.sh   (from the repo root)
 set -e
 cd "$(dirname "$0")/.."
-for wf in check-default check-asan check-tsan; do
+for wf in check-default check-debug check-asan check-tsan; do
   echo "==> cmake --workflow --preset $wf"
   cmake --workflow --preset "$wf"
 done
