@@ -208,5 +208,62 @@ TEST(Anuc, HistoriesGrowButStayBounded) {
   }
 }
 
+// At the process cap: n = kMaxProcesses is one past the largest pid, so a
+// history decoder that read n like a pid refused its own encoding there.
+// A process then dropped every LEAD and PROP, and restore_state refused
+// what save_state wrote.
+constexpr Pid kCap = kMaxProcesses;
+
+/// The detector value "leader 0, quorum Pi" at the cap.
+FdValue cap_leader_and_full_quorum() {
+  FdValue d = FdValue::of_leader(0);
+  d.set_quorum(ProcessSet::full(kCap));
+  return d;
+}
+
+/// Steps the leader (process 0, proposing 7) once and delivers its LEAD to
+/// process 1; returns process 1's sends.
+std::vector<Outgoing> follower_receives_lead(Anuc& follower) {
+  const FdValue d = cap_leader_and_full_quorum();
+  Anuc leader(0, 7, kCap);
+  std::vector<Outgoing> lead;
+  leader.step(nullptr, d, lead);
+  EXPECT_EQ(lead.size(), static_cast<std::size_t>(kCap));
+  const SharedBytes& payload = lead[1].payload;
+  const Incoming in{0, &payload.get(), &payload};
+  std::vector<Outgoing> out;
+  follower.step(&in, d, out);
+  return out;
+}
+
+TEST(Anuc, LeadFromLeaderYieldsReportAtProcessCap) {
+  Anuc follower(1, 3, kCap);
+  const std::vector<Outgoing> out = follower_receives_lead(follower);
+  // Its own LEAD to all, then its REP to all: (REP = tag 2, round 1,
+  // the leader's estimate 7 as a zig-zag varint).
+  ASSERT_EQ(out.size(), 2 * static_cast<std::size_t>(kCap));
+  const Bytes rep = {0x02, 0x01, 0x0e};
+  for (std::size_t i = kCap; i < out.size(); ++i) {
+    ASSERT_EQ(out[i].payload.get(), rep) << i;
+  }
+}
+
+TEST(Anuc, SaveStateRestoresAtProcessCap) {
+  Anuc follower(1, 3, kCap);
+  (void)follower_receives_lead(follower);
+  ByteWriter w;
+  ASSERT_TRUE(follower.save_state(w));
+  const Bytes saved = w.take();
+
+  Anuc restored(1, 0, kCap);
+  ByteReader r(saved);
+  ASSERT_TRUE(restored.restore_state(r));
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(restored.history().size(), follower.history().size());
+  ByteWriter again;
+  ASSERT_TRUE(restored.save_state(again));
+  EXPECT_EQ(again.take(), saved);
+}
+
 }  // namespace
 }  // namespace nucon
