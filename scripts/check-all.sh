@@ -6,8 +6,8 @@
 #
 #   check-default   configure + build + the whole ctest suite (RelWithDebInfo)
 #   check-debug     configure + build + the whole ctest suite (Debug)
-#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim-labeled ctest under ASan/UBSan
-#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim-labeled ctest under TSan
+#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim/core-labeled ctest under ASan/UBSan
+#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim/core-labeled ctest under TSan
 #
 # (check-debug is the one run without NDEBUG, so the assert-only checks
 # execute there: QuorumHistory's cache against the quadratic recompute,
@@ -25,7 +25,9 @@
 # sample-DAG suites, whose gossip decoder reads untrusted bytes, and sim
 # covers the executors that step through the step kernel (scheduler,
 # replay, Lemma 2.2 merging, the hand-driven register runs) and the
-# stacked automata that share a link through ChannelMux — all
+# stacked automata that share a link through ChannelMux, and core covers
+# A_nuc and its quorum history, whose row decoder reads untrusted bytes
+# (quorum_history, anuc and contamination suites) — all
 # worth re-running under the sanitizers, the scale suite especially because the
 # heap-spilled set words are fresh allocator traffic), then runs the
 # quick throughput baselines plus the 10s fuzz smoke campaign
