@@ -25,6 +25,7 @@ ConsensusRunStats run_consensus(const FailurePattern& fp, Oracle& oracle,
   stats.end_time = sim.end_time;
   stats.all_correct_decided = all_correct_decided(fp, sim.automata);
 
+  std::optional<DagWork> dag_work;
   for (Pid p = 0; p < fp.n(); ++p) {
     const Automaton* a = sim.automata[static_cast<std::size_t>(p)].get();
     // A hosted stack reports the rounds of the algorithm it hosts.
@@ -42,6 +43,8 @@ ConsensusRunStats run_consensus(const FailurePattern& fp, Oracle& oracle,
     } else if (const auto* stacked = dynamic_cast<const StackedNuc*>(a)) {
       round = stacked->consensus().round();
       decided_round = stacked->consensus().decided_round();
+      if (!dag_work) dag_work.emplace();
+      *dag_work += stacked->transformation().core().work();
     } else if (const auto* scratch = dynamic_cast<const FromScratchConsensus*>(a)) {
       round = scratch->consensus().round();
       decided_round = scratch->consensus().decided_round();
@@ -63,6 +66,14 @@ ConsensusRunStats run_consensus(const FailurePattern& fp, Oracle& oracle,
   stats.metrics.counter("consensus.decide_round") = stats.decide_round;
   stats.metrics.counter("consensus.all_correct_decided") =
       stats.all_correct_decided;
+  if (dag_work) {
+    stats.metrics.counter("dag.nodes_decoded") = dag_work->nodes_decoded;
+    stats.metrics.counter("dag.held_skipped") = dag_work->held_skipped;
+    stats.metrics.counter("dag.held_validated") = dag_work->held_validated;
+    stats.metrics.counter("dag.walk_searches") = dag_work->walk_searches;
+    stats.metrics.counter("dag.walks_resumed") = dag_work->walks_resumed;
+    stats.metrics.counter("dag.walks_restarted") = dag_work->walks_restarted;
+  }
   return stats;
 }
 

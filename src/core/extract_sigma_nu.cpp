@@ -29,11 +29,11 @@ void ExtractSigmaNu::step(const Incoming* in, const FdValue& d,
 }
 
 bool ExtractSigmaNu::try_emit(NodeRef fresh) {
-  const SampleDag& dag = core_.dag();
-  std::vector<NodeRef> chain = dag.fair_chain(u_);
+  std::span<const NodeRef> chain = core_.fair_chain(u_);
   if (opts_.max_chain != 0 && chain.size() > opts_.max_chain) {
-    chain.resize(opts_.max_chain);
+    chain = chain.first(opts_.max_chain);
   }
+  const SampleDag& dag = core_.dag();
 
   // Lines 15-17: look for schedules in Sch(G|u, I_0) and Sch(G|u, I_1) in
   // which this process decides.

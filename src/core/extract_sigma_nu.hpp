@@ -17,11 +17,11 @@
 // is in Sigma (Theorem 5.8).
 //
 // Schedule search: Sch(G|u, I) is exponential; following the constructive
-// proofs (Lemmas 4.8/4.10) we simulate A along a greedy maximal chain of
-// the cone with oldest-first delivery and take the shortest deciding
-// prefix. This finds a deciding schedule whenever the cone contains
-// enough fresh samples of enough processes, which is what the liveness
-// argument (Lemma 5.1) relies on.
+// proofs (Lemmas 4.8/4.10) we simulate A along the fair chain of the cone
+// (SampleDag::fair_chain, kept by DagCore across steps) with oldest-first
+// delivery and take the shortest deciding prefix. This finds a deciding
+// schedule whenever the cone contains enough fresh samples of enough
+// processes, which is what the liveness argument (Lemma 5.1) relies on.
 #pragma once
 
 #include "core/emulated.hpp"

@@ -20,8 +20,8 @@ void SigmaNuToPlus::step(const Incoming* in, const FdValue& d,
 }
 
 bool SigmaNuToPlus::try_emit(NodeRef fresh) {
+  const std::vector<NodeRef>& chain = core_.fair_chain(u_);
   const SampleDag& dag = core_.dag();
-  const std::vector<NodeRef> chain = dag.fair_chain(u_);
 
   // Scan suffixes from the back, accumulating participants(g) and
   // trusted(g) incrementally; remember the longest suffix satisfying the

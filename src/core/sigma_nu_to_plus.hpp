@@ -11,10 +11,12 @@
 // follows from the freshness barrier (Lemma 6.2).
 //
 // Path search: the paper's "exists a path" is over exponentially many
-// paths; we search the suffixes of a greedy maximal chain through the
-// cone, which is exactly the shape of the witness path built in the proof
-// of Lemma 6.1 (a fresh window containing samples of every correct
-// process), and pick the longest valid suffix.
+// paths; we search the suffixes of the fair chain through the cone
+// (SampleDag::fair_chain: round robin over creators, in batches of own
+// successors), which is exactly the shape of the witness path built in the
+// proof of Lemma 6.1 (a fresh window containing samples of every correct
+// process), and pick the longest valid suffix. The embedded DagCore keeps
+// the chain's walk across steps and resumes it as the DAG grows.
 #pragma once
 
 #include "core/emulated.hpp"

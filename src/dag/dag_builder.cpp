@@ -1,14 +1,22 @@
 #include "dag/dag_builder.hpp"
 
+#include <cassert>
+
 namespace nucon {
 
 NodeRef DagCore::on_step(const Incoming* in, const FdValue& d) {
   // Malformed or foreign-sized gossip, or a delta that starts past what
   // this DAG holds, is dropped whole, matching the listing's assumption
   // that messages are DAGs.
-  if (in != nullptr) (void)dag_.merge_payload(*in->payload);
+  if (in != nullptr) (void)dag_.merge_payload(*in->payload, &work_);
   ++k_;
   return dag_.take_sample(self_, d);
+}
+
+const std::vector<NodeRef>& DagCore::fair_chain(NodeRef u, int batch) {
+  const std::vector<NodeRef>& chain = walk_.walk(dag_, u, batch, work_);
+  assert(chain == dag_.fair_chain(u, batch));
+  return chain;
 }
 
 void DagCore::gossip_deltas(std::vector<Outgoing>& out) const {

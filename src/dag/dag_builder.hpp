@@ -36,13 +36,28 @@ class DagCore {
   /// One gossip fan-out, counted as one broadcast.
   void gossip_deltas(std::vector<Outgoing>& out) const;
 
+  /// SampleDag::fair_chain(u, batch) of the current DAG. The walk is kept
+  /// next to the DAG it reads: the next call with the same u and batch
+  /// resumes it where the DAG's growth first changes it (FairWalk). The
+  /// chain stays valid until the next call.
+  [[nodiscard]] const std::vector<NodeRef>& fair_chain(NodeRef u,
+                                                       int batch = 8);
+
+  /// The chain of the last fair_chain call.
+  [[nodiscard]] const std::vector<NodeRef>& walked_chain() const {
+    return walk_.chain();
+  }
+
   [[nodiscard]] const SampleDag& dag() const { return dag_; }
   [[nodiscard]] std::uint32_t k() const { return k_; }
   [[nodiscard]] Pid self() const { return self_; }
+  [[nodiscard]] const DagWork& work() const { return work_; }
 
   /// Full-state save/restore for the embedding automata's model-checker
   /// support: the DAG (already serializable as the gossip payload) plus
-  /// the local sample counter.
+  /// the local sample counter. The kept walk and the work counters are not
+  /// state; restore is the one place a DAG is replaced, so it drops the
+  /// walk.
   void save(ByteWriter& w) const {
     w.bytes(dag_.serialize());
     w.uvarint(k_);
@@ -55,6 +70,7 @@ class DagCore {
     const auto k = r.uvarint();
     if (!k) return false;
     dag_ = std::move(*dag);
+    walk_.clear();
     k_ = static_cast<std::uint32_t>(*k);
     return true;
   }
@@ -63,6 +79,8 @@ class DagCore {
   Pid self_;
   SampleDag dag_;
   std::uint32_t k_ = 0;
+  FairWalk walk_;
+  DagWork work_;
 };
 
 /// Sends the gossip payload to every process except the sender (the

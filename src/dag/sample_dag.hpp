@@ -19,8 +19,15 @@
 // and it can tell which those are from its own DAG (acked_frontier). Each
 // chain keeps its nodes' wire encoding, written once as a node is
 // appended, so a payload is a header plus copies of encoded suffixes.
+//
+// A creator's next sample is taken on a DAG that only grew since its last
+// one, so creation views never shrink along a chain. merge_payload rejects
+// a chain that breaks this, and the fair-chain walk relies on it twice: to
+// binary-search a chain for the first sample that sees the tip, and to
+// resume a kept walk as the DAG grows (FairWalk).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -39,15 +46,36 @@ struct NodeRef {
   friend bool operator==(const NodeRef&, const NodeRef&) = default;
 };
 
+/// Exact work counters of one process's sample-DAG path. Plain counts,
+/// outside save_state and DAG equality.
+struct DagWork {
+  std::int64_t nodes_decoded = 0;   ///< new nodes decoded from payloads
+  std::int64_t held_skipped = 0;    ///< held nodes skipped by byte compare
+  std::int64_t held_validated = 0;  ///< held nodes validated: bytes differed
+  std::int64_t walk_searches = 0;   ///< binary searches of fair-chain walks
+  std::int64_t walks_resumed = 0;   ///< walks resumed for the same barrier
+  /// Walks started from u: the first, or the barrier or batch moved.
+  std::int64_t walks_restarted = 0;
+
+  DagWork& operator+=(const DagWork& o) {
+    nodes_decoded += o.nodes_decoded;
+    held_skipped += o.held_skipped;
+    held_validated += o.held_validated;
+    walk_searches += o.walk_searches;
+    walks_resumed += o.walks_resumed;
+    walks_restarted += o.walks_restarted;
+    return *this;
+  }
+};
+
 class SampleDag {
  public:
+  /// A view of one node, valid until its DAG changes.
   struct Node {
-    FdValue d;
+    const FdValue& d;
     /// Creation view: vc[r] = number of r's samples known to the creator
     /// when this node was created (the node's predecessor set).
-    std::vector<std::uint32_t> vc;
-
-    friend bool operator==(const Node&, const Node&) = default;
+    std::span<const std::uint32_t> vc;
   };
 
   explicit SampleDag(Pid n);
@@ -61,14 +89,21 @@ class SampleDag {
   /// Number of q's samples present.
   [[nodiscard]] std::uint32_t count_of(Pid q) const {
     return static_cast<std::uint32_t>(
-        chains_[static_cast<std::size_t>(q)].nodes.size());
+        chains_[static_cast<std::size_t>(q)].ds.size());
   }
 
   [[nodiscard]] bool contains(NodeRef v) const {
     return v.q >= 0 && v.q < n_ && v.k >= 1 && v.k <= count_of(v.q);
   }
 
-  [[nodiscard]] const Node& node(NodeRef v) const;
+  [[nodiscard]] Node node(NodeRef v) const {
+    assert(contains(v));
+    const Chain& chain = chains_[static_cast<std::size_t>(v.q)];
+    const auto n = static_cast<std::size_t>(n_);
+    return Node{chain.ds[v.k - 1],
+                std::span<const std::uint32_t>(chain.vcs).subspan(
+                    (v.k - 1) * n, n)};
+  }
 
   /// Current frontier (the whole node set, by prefix-closure).
   [[nodiscard]] std::vector<std::uint32_t> frontier() const;
@@ -114,12 +149,18 @@ class SampleDag {
   /// Whole-DAG payload, as the paper's algorithm sends.
   [[nodiscard]] Bytes serialize() const;
 
-  /// Gossip receipt: merges a payload of encode_since, whole or delta. The
-  /// whole payload is validated first, and only the nodes this DAG lacks
-  /// are then decoded and appended. Returns false, leaving the DAG
-  /// unchanged, when the payload is malformed, sized for another n, or has
-  /// a suffix starting past what this DAG holds.
-  [[nodiscard]] bool merge_payload(const Bytes& data);
+  /// Gossip receipt: merges a payload of encode_since, whole or delta.
+  /// Where a chain's payload re-sends nodes this DAG holds, those bytes are
+  /// skipped when they equal this DAG's own encoding of the nodes, and are
+  /// validated node by node otherwise. Each new node is decoded once,
+  /// straight into its chain, and re-encoded into the chain's cache.
+  /// Returns false, leaving the DAG unchanged, when the payload is
+  /// malformed, sized for another n, has a suffix starting past what this
+  /// DAG holds, or has a new node whose view is below its predecessor's in
+  /// some entry. `work`, when given, counts the nodes of an accepted
+  /// payload.
+  [[nodiscard]] bool merge_payload(const Bytes& data,
+                                   DagWork* work = nullptr);
 
   /// The DAG a payload describes on its own (merged into an empty DAG).
   [[nodiscard]] static std::optional<SampleDag> deserialize(const Bytes& data);
@@ -147,26 +188,85 @@ class SampleDag {
   /// `batch` consecutive samples of the same creator (own successors are
   /// always edges) before rotating again — longer batches give longer
   /// paths at the cost of coarser interleaving.
+  ///
+  /// A fresh walk; DagCore keeps one that resumes as its DAG grows.
   [[nodiscard]] std::vector<NodeRef> fair_chain(NodeRef u, int batch = 8) const;
 
  private:
   /// One creator's samples plus their wire encoding, kept in step.
   struct Chain {
-    std::vector<Node> nodes;  ///< nodes[k-1] = the k-th sample
-    ByteWriter enc;           ///< the nodes' encodings, back to back
+    std::vector<FdValue> ds;         ///< ds[k-1] = the k-th sample's value
+    std::vector<std::uint32_t> vcs;  ///< its view at [(k-1)*n, k*n)
+    ByteWriter enc;                  ///< the nodes' encodings, back to back
     std::vector<std::size_t> starts;  ///< starts[k-1] = offset of node k
   };
 
-  /// Appends q's next node and its encoding.
-  void append(Pid q, Node node);
+  /// Encodes the chain's nodes that its cache does not hold yet.
+  void encode_new(Chain& chain) const;
 
-  /// The one node decoder. Reads a node's value and creation view, into
-  /// `out` unless it is null (validation only). False on malformed input,
-  /// including a view entry above 2^32-1.
-  [[nodiscard]] static bool read_node(ByteReader& r, Pid n, Node* out);
+  /// Decodes the chain's next node from `r` straight into its values and
+  /// views, leaving it for encode_new. False on malformed input, a view
+  /// entry above 2^32-1, or a view below the predecessor's in some entry;
+  /// a partly read node is then left for the caller's rollback.
+  [[nodiscard]] bool decode_next(Chain& chain, ByteReader& r);
+
+  /// Reads past one node, validating it as decode_next would except for
+  /// the comparison with its predecessor.
+  [[nodiscard]] static bool skip_node(ByteReader& r, Pid n);
 
   Pid n_;
   std::vector<Chain> chains_;
+};
+
+/// The walk behind SampleDag::fair_chain, kept so that it can resume after
+/// the DAG grows instead of walking again.
+///
+/// The walk reads the DAG's counts only at its stops: where an own batch
+/// runs out of samples, and where a round-robin creator has no unused
+/// sample that sees the tip. Every other choice reads nodes, which never
+/// change. Each stop records the chain length, the creator, the creator's
+/// count and the phase. On growth, the walk up to the first stop the new
+/// nodes get past is unchanged, and it continues from there. A
+/// round-robin stop is passed only when the creator's newest sample sees
+/// the tip: views never shrink along a chain, so if that one does not,
+/// none of the new ones does.
+class FairWalk {
+ public:
+  /// SampleDag::fair_chain(u, batch) of `dag`. When the previous call had
+  /// the same u and batch, `dag` must be that call's DAG or a DAG grown
+  /// from it, and the walk resumes.
+  [[nodiscard]] const std::vector<NodeRef>& walk(const SampleDag& dag,
+                                                 NodeRef u, int batch,
+                                                 DagWork& work);
+
+  /// The chain of the last walk.
+  [[nodiscard]] const std::vector<NodeRef>& chain() const { return chain_; }
+
+  /// Forgets the walk, as when its DAG is replaced.
+  void clear() {
+    chain_.clear();
+    stops_.clear();
+  }
+
+ private:
+  struct Stop {
+    std::size_t len = 0;     ///< chain length at the stop
+    Pid q = 0;               ///< the creator whose samples ran out
+    std::uint32_t count = 0; ///< count_of(q) when last checked
+    bool own = false;        ///< own batch, else round robin
+    int at = 0;              ///< own: allowance left; round robin: offset
+  };
+
+  /// Continues the walk on chain_ from its last node: up to `allowance`
+  /// own successors, then round robin from `offset`, to the end.
+  void extend(const SampleDag& dag, int allowance, Pid offset,
+              DagWork& work);
+
+  int batch_ = 0;
+  std::vector<NodeRef> chain_;
+  /// used_[q] = index of q's last sample on the chain, 0 if none.
+  std::vector<std::uint32_t> used_;
+  std::vector<Stop> stops_;
 };
 
 }  // namespace nucon

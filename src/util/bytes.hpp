@@ -6,6 +6,7 @@
 // benchmarks are the sizes a real transport would carry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -182,6 +183,17 @@ class ByteReader {
     Bytes b(data_ + pos_, data_ + pos_ + *len);
     pos_ += *len;
     return b;
+  }
+
+  /// Consumes `prefix` when the unread input starts with it; otherwise
+  /// reads nothing.
+  [[nodiscard]] bool skip_prefix(std::span<const std::uint8_t> prefix) {
+    if (prefix.size() > size_ - pos_ ||
+        !std::equal(prefix.begin(), prefix.end(), data_ + pos_)) {
+      return false;
+    }
+    pos_ += prefix.size();
+    return true;
   }
 
   [[nodiscard]] bool done() const { return pos_ == size_; }

@@ -2,14 +2,21 @@
 // chain suffixes past its acknowledged frontier. Merging such a delta must
 // give exactly the DAG that merging the sender's whole DAG gives, at every
 // gossip of real runs, and hostile payloads must be dropped whole.
+//
+// The same runs check the two fast paths on the sample-DAG path against
+// their verbatim definitions (dag_reference.hpp): every receipt, and
+// mutations of some of them, against the two-pass decoder, and after every
+// step the kept fair-chain walk against the linear walk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
 #include "consensus_test_util.hpp"
 #include "core/stacked_nuc.hpp"
 #include "dag/dag_builder.hpp"
+#include "dag_reference.hpp"
 
 namespace nucon {
 namespace {
@@ -27,7 +34,137 @@ struct GossipLedger {
   std::map<const Bytes*, std::shared_ptr<const SampleDag>> in_flight;
   std::size_t checked = 0;
   std::size_t partial = 0;  ///< receipts in the delta form (header < 0)
+  std::size_t walks_checked = 0;
+  std::size_t mutate_budget = 6;  ///< receipts whose mutations are checked
+  std::size_t mutated = 0;
+  std::size_t held_flips = 0;  ///< flips inside nodes the receiver holds
+  std::size_t new_flips = 0;   ///< flips inside nodes new to it
 };
+
+// --- differential check against the two-pass decoder ----------------------
+
+/// Merges `payload` into a copy of `dag` and compares with the two-pass
+/// reference: the same accept or drop, the same nodes, and the same
+/// encoding cache, whole and since `from`.
+testing::AssertionResult merges_as_reference(const SampleDag& dag,
+                                             const Bytes& payload,
+                                             std::span<const std::uint32_t> from) {
+  const testref::RefDag before = testref::nodes_of(dag);
+  const auto want = testref::merge_payload(before, payload);
+  SampleDag got = dag;
+  const bool accepted = got.merge_payload(payload);
+  if (accepted != want.has_value()) {
+    return testing::AssertionFailure()
+           << (accepted ? "accepted" : "dropped") << " a payload the reference "
+           << (accepted ? "drops" : "accepts");
+  }
+  const testref::RefDag& after = want ? *want : before;
+  if (testref::nodes_of(got) != after) {
+    return testing::AssertionFailure() << "different nodes";
+  }
+  const std::vector<std::uint32_t> zeros(static_cast<std::size_t>(dag.n()), 0);
+  if (got.serialize() != testref::encode_since(after, zeros)) {
+    return testing::AssertionFailure() << "different whole encoding";
+  }
+  if (got.encode_since(from) != testref::encode_since(after, from)) {
+    return testing::AssertionFailure() << "different delta encoding";
+  }
+  return testing::AssertionSuccess();
+}
+
+/// Where one chain's part of a well-formed payload lies.
+struct ChainPart {
+  std::size_t start_at = 0;  ///< the suffix start's varint (deltas only)
+  std::size_t len_at = 0;    ///< the length's varint
+  std::vector<std::size_t> node_at;  ///< each node's first byte, then the end
+  std::uint64_t from = 0;
+  std::uint64_t len = 0;
+};
+
+std::vector<ChainPart> layout(const Bytes& payload, Pid n) {
+  ByteReader r(payload);
+  const auto at = [&] { return payload.size() - r.remaining(); };
+  const bool delta = r.svarint().value() < 0;
+  std::vector<ChainPart> parts(static_cast<std::size_t>(n));
+  for (ChainPart& part : parts) {
+    part.start_at = at();
+    part.from = delta ? r.uvarint().value() : 0;
+    part.len_at = at();
+    part.len = r.uvarint().value();
+    for (std::uint64_t k = 0; k < part.len; ++k) {
+      part.node_at.push_back(at());
+      EXPECT_TRUE(testref::read_node(r, n, nullptr));
+    }
+    part.node_at.push_back(at());
+  }
+  return parts;
+}
+
+/// `payload` with the varint at [at, end) replaced by v.
+Bytes with_varint(const Bytes& payload, std::size_t at, std::size_t end,
+                  std::uint64_t v) {
+  ByteWriter w;
+  w.raw(std::span<const std::uint8_t>(payload).first(at));
+  w.uvarint(v);
+  w.raw(std::span<const std::uint8_t>(payload).subspan(end));
+  return w.take();
+}
+
+/// Checks mutations of a real delta against the reference: one- and
+/// seven-bit flips of every byte, every truncation, and each chain's start
+/// and length moved by one.
+void check_mutations(const SampleDag& dag, const Bytes& delta,
+                     std::span<const std::uint32_t> from,
+                     GossipLedger& ledger) {
+  const std::vector<ChainPart> parts = layout(delta, dag.n());
+  enum Region : char { kHeader, kHeld, kNew };
+  std::vector<Region> region(delta.size(), kHeader);
+  for (std::size_t q = 0; q < parts.size(); ++q) {
+    const ChainPart& part = parts[q];
+    for (std::size_t i = 0; i + 1 < part.node_at.size(); ++i) {
+      const bool held =
+          part.from + i < dag.count_of(static_cast<Pid>(q));
+      std::fill(region.begin() + static_cast<std::ptrdiff_t>(part.node_at[i]),
+                region.begin() + static_cast<std::ptrdiff_t>(part.node_at[i + 1]),
+                held ? kHeld : kNew);
+    }
+  }
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    for (std::uint8_t mask : {0x01, 0x80}) {
+      Bytes flipped = delta;
+      flipped[i] ^= mask;
+      EXPECT_TRUE(merges_as_reference(dag, flipped, from))
+          << "byte " << i << " ^ " << int{mask};
+    }
+    ledger.held_flips += region[i] == kHeld;
+    ledger.new_flips += region[i] == kNew;
+  }
+  for (std::size_t len = 0; len < delta.size(); ++len) {
+    EXPECT_TRUE(merges_as_reference(
+        dag, Bytes(delta.begin(), delta.begin() + static_cast<std::ptrdiff_t>(len)),
+        from))
+        << "truncated to " << len;
+  }
+  const auto moved_by_one = [](std::uint64_t v) {
+    std::vector<std::uint64_t> out{v + 1};
+    if (v > 0) out.push_back(v - 1);
+    return out;
+  };
+  for (const ChainPart& part : parts) {
+    for (const std::uint64_t moved : moved_by_one(part.from)) {
+      EXPECT_TRUE(merges_as_reference(
+          dag, with_varint(delta, part.start_at, part.len_at, moved), from))
+          << "start " << part.from << " -> " << moved;
+    }
+    for (const std::uint64_t moved : moved_by_one(part.len)) {
+      EXPECT_TRUE(merges_as_reference(
+          dag, with_varint(delta, part.len_at, part.node_at.front(), moved),
+          from))
+          << "length " << part.len << " -> " << moved;
+    }
+  }
+  ++ledger.mutated;
+}
 
 /// Forwards to a DAG-gossiping automaton. On every gossip receipt it checks
 /// the delta against merge_from of the sender's whole DAG at send time;
@@ -59,8 +196,19 @@ class GossipChecker final : public ConsensusAutomaton {
         EXPECT_EQ(via_delta.serialize(), via_whole.serialize());
         ledger_.in_flight.erase(sent);
         ++ledger_.checked;
-        ledger_.partial += ByteReader(delta).svarint().value_or(0) < 0;
+        const bool partial = ByteReader(delta).svarint().value_or(0) < 0;
+        ledger_.partial += partial;
         expected = std::move(via_delta);
+
+        const std::vector<std::uint32_t> from =
+            core_.dag().acked_frontier(in->from);
+        EXPECT_TRUE(merges_as_reference(core_.dag(), delta, from))
+            << "at " << core_.self();
+        // Every eighth delta, from the first, up to the budget.
+        if (partial && ledger_.mutated < ledger_.mutate_budget &&
+            ledger_.partial % 8 == 1) {
+          check_mutations(core_.dag(), delta, from, ledger_);
+        }
       }
     }
     const std::size_t before = out.size();
@@ -70,6 +218,13 @@ class GossipChecker final : public ConsensusAutomaton {
       std::vector<std::uint32_t> f = expected->frontier();
       ++f[static_cast<std::size_t>(core_.self())];
       EXPECT_EQ(core_.dag().frontier(), f);
+    }
+    // The walk kept across steps is the linear walk on today's DAG.
+    const std::vector<NodeRef>& walked = core_.walked_chain();
+    if (!walked.empty()) {
+      EXPECT_EQ(walked, testref::fair_chain(core_.dag(), walked.front()))
+          << "at " << core_.self();
+      ++ledger_.walks_checked;
     }
     std::shared_ptr<const SampleDag> snapshot;
     for (std::size_t i = before; i < out.size(); ++i) {
@@ -121,6 +276,9 @@ FailurePattern crash_pattern(const DeltaParam& p) {
   return fp;
 }
 
+/// Two-process runs with a crash hold only a few receipts.
+std::size_t min_receipts(const DeltaParam& p) { return p.n == 2 ? 5 : 10; }
+
 class DeltaGossip : public testing::TestWithParam<DeltaParam> {};
 
 TEST_P(DeltaGossip, SigmaNuToPlusDeltasEqualWholeDagMerges) {
@@ -142,8 +300,12 @@ TEST_P(DeltaGossip, SigmaNuToPlusDeltasEqualWholeDagMerges) {
   opts.max_steps = 3000;
   opts.stop_when = stop_on_failure;
   (void)simulate(fp, oracle, make, opts);
-  EXPECT_GE(ledger.checked, 10u);
+  EXPECT_GE(ledger.checked, min_receipts(GetParam()));
   EXPECT_GT(ledger.partial, 0u);
+  EXPECT_GE(ledger.walks_checked, ledger.checked);
+  if (GetParam().n > 2) {
+    EXPECT_GT(ledger.mutated, 0u);
+  }
 }
 
 TEST_P(DeltaGossip, StackedNucDeltasEqualWholeDagMerges) {
@@ -177,12 +339,20 @@ TEST_P(DeltaGossip, StackedNucDeltasEqualWholeDagMerges) {
                                    testutil::mixed_proposals(fp.n()), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_nonuniform()) << stats.verdict.detail;
-  EXPECT_GE(ledger.checked, 10u);
+  EXPECT_GE(ledger.checked, min_receipts(GetParam()));
   EXPECT_GT(ledger.partial, 0u);
+  EXPECT_GE(ledger.walks_checked, ledger.checked);
+  if (GetParam().n > 2) {
+    EXPECT_GT(ledger.mutated, 0u);
+  }
 }
 
 std::vector<DeltaParam> delta_params() {
   std::vector<DeltaParam> out;
+  for (std::uint64_t seed : {1ull, 2ull}) {
+    out.push_back({2, 0, seed});
+    out.push_back({2, 1, seed});
+  }
   for (Pid n : {3, 6}) {
     for (Pid crashes : {1, n / 2 + 1}) {
       for (std::uint64_t seed : {1ull, 2ull}) out.push_back({n, crashes, seed});
@@ -216,9 +386,12 @@ TEST(DeltaGossipWide, SigmaNuToPlusAt65Processes) {
   opts.seed = 5;
   opts.max_steps = 65 * 30;
   opts.stop_when = stop_on_failure;
+  ledger.mutate_budget = 1;
   (void)simulate(fp, oracle, make, opts);
   EXPECT_GT(ledger.checked, 500u);
   EXPECT_GT(ledger.partial, 0u);
+  EXPECT_GT(ledger.walks_checked, 1000u);
+  EXPECT_EQ(ledger.mutated, 1u);
 }
 
 TEST(DeltaGossip, FanOutIsOneBroadcastOfPerReceiverPayloads) {
@@ -291,6 +464,16 @@ TEST(HostileDelta, HonestDeltaSkipsWhatTheReceiverHolds) {
   EXPECT_TRUE(pair.receiver.dag() == expected);
 }
 
+TEST(HostileDelta, MutationsMatchTheTwoPassDecoder) {
+  DeltaPair pair;
+  const Bytes delta = pair.delta();
+  GossipLedger ledger;
+  check_mutations(pair.receiver.dag(), delta,
+                  pair.receiver.dag().acked_frontier(0), ledger);
+  EXPECT_GT(ledger.held_flips, 0u);
+  EXPECT_GT(ledger.new_flips, 0u);
+}
+
 TEST(HostileDelta, EveryTruncationIsDropped) {
   DeltaPair pair;
   for (const Bytes& payload : {pair.delta(), pair.sender.gossip()}) {
@@ -361,26 +544,62 @@ TEST(HostileDelta, BadFlagInTheSkippedPrefixIsDropped) {
   EXPECT_TRUE(pair.dropped(payload));
 }
 
+/// A delta carrying, from the receiver's count on, chain 0's nodes with the
+/// given views (empty FdValues) and nothing of chains 1 and 2.
+Bytes chain0_delta(std::initializer_list<std::vector<std::uint64_t>> views) {
+  ByteWriter w;
+  w.svarint(-3);
+  w.uvarint(2);  // chain 0: start at (0,3)
+  w.uvarint(views.size());
+  for (const auto& vc : views) {
+    w.u8(0);
+    for (std::uint64_t c : vc) w.uvarint(c);
+  }
+  for (int chain = 1; chain < 3; ++chain) {
+    w.uvarint(0);
+    w.uvarint(0);
+  }
+  return w.take();
+}
+
 TEST(HostileDelta, ViewEntryAbove32BitsIsDropped) {
   DeltaPair pair;
-  // Chain 0 from the receiver's count, one node whose vc[0] is given.
+  // One node (0,3) whose vc[0] is given; (0,2)'s view is {1,1,0}.
   const auto one_node = [](std::uint64_t vc0) {
-    ByteWriter w;
-    w.svarint(-3);
-    w.uvarint(2);  // chain 0: start at (0,3)
-    w.uvarint(1);
-    w.u8(0);       // empty FdValue
-    w.uvarint(vc0);
-    w.uvarint(0);
-    w.uvarint(0);
-    for (int chain = 1; chain < 3; ++chain) {
-      w.uvarint(0);
-      w.uvarint(0);
-    }
-    return w.take();
+    return chain0_delta({{vc0, 1, 0}});
   };
   EXPECT_FALSE(pair.dropped(one_node(2)));
   EXPECT_TRUE(pair.dropped(one_node((std::uint64_t{1} << 32) + 1)));
+}
+
+TEST(HostileDelta, ViewBelowTheHeldPredecessorIsDropped) {
+  DeltaPair pair;
+  ASSERT_TRUE(std::ranges::equal(pair.receiver.dag().node(NodeRef{0, 2}).vc,
+                                 std::vector<std::uint32_t>{1, 1, 0}));
+  // (0,3) would drop the edge (1,1) -> (0,3) while (1,1) -> (0,2) exists.
+  EXPECT_TRUE(pair.dropped(chain0_delta({{2, 0, 0}})));
+}
+
+TEST(HostileDelta, ViewBelowAnEarlierNewNodeIsDropped) {
+  DeltaPair pair;
+  EXPECT_FALSE(pair.dropped(chain0_delta({{2, 1, 0}, {3, 2, 0}})));
+  EXPECT_TRUE(pair.dropped(chain0_delta({{2, 2, 0}, {3, 1, 0}})));
+  // The rollback also undoes the nodes already appended to earlier chains.
+  ByteWriter w;
+  w.svarint(-3);
+  w.uvarint(2);  // chain 0: (0,3), well formed
+  w.uvarint(1);
+  w.u8(0);
+  for (std::uint64_t c : {2, 1, 0}) w.uvarint(c);
+  w.uvarint(2);  // chain 1: (1,3) {2,2,0}, then (1,4) {2,1,0}
+  w.uvarint(2);
+  for (const auto& vc : {std::vector<std::uint64_t>{2, 2, 0}, {2, 1, 0}}) {
+    w.u8(0);
+    for (std::uint64_t c : vc) w.uvarint(c);
+  }
+  w.uvarint(0);
+  w.uvarint(0);
+  EXPECT_TRUE(pair.dropped(w.take()));
 }
 
 }  // namespace

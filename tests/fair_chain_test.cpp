@@ -1,10 +1,13 @@
 // Properties of the Lemma 4.8-style fair chains, including the batching
-// parameter that trades path length against interleaving granularity.
+// parameter that trades path length against interleaving granularity, and
+// the walk DagCore keeps across DAG growth against the linear walk.
 #include <gtest/gtest.h>
 
 #include "dag/dag_builder.hpp"
+#include "dag_reference.hpp"
 #include "fd/sigma_nu.hpp"
 #include "sim/scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace nucon {
 namespace {
@@ -96,6 +99,91 @@ TEST(FairChain, SingleProcessChainIsItsWholeSuffix) {
   EXPECT_EQ(chain.front(), (NodeRef{1, 4}));
   EXPECT_EQ(chain.back(), (NodeRef{1, 10}));
 }
+
+TEST(FairChain, FreshWalkIsTheLinearWalk) {
+  for (const auto& [n, seed] : {std::pair{3, 2ull}, std::pair{5, 4ull}}) {
+    const SampleDag dag = gossiped_dag(n, 800, seed);
+    for (std::uint32_t k = 1; k <= dag.count_of(0); k += 7) {
+      for (int batch : {1, 2, 8}) {
+        EXPECT_EQ(dag.fair_chain(NodeRef{0, k}, batch),
+                  testref::fair_chain(dag, NodeRef{0, k}, batch))
+            << "n " << n << " k " << k << " batch " << batch;
+      }
+    }
+  }
+}
+
+/// Four DagCores gossiping deltas at random, delivered in random order, so
+/// chains grow unevenly and stale deltas re-send held nodes. Each process
+/// keeps a barrier that moves at random points, to its newest sample as
+/// the transformations move it or to any node it holds, and walks from it
+/// after every step.
+class KeptWalkGrowth : public testing::TestWithParam<int> {};
+
+TEST_P(KeptWalkGrowth, EqualsTheLinearWalkAsTheDagGrows) {
+  const int batch = GetParam();
+  const Pid n = 4;
+  Rng rng(0x5eed + static_cast<std::uint64_t>(batch));
+  std::vector<DagCore> cores;
+  for (Pid p = 0; p < n; ++p) cores.emplace_back(p, n);
+  std::vector<NodeRef> barrier(static_cast<std::size_t>(n));
+  struct InFlight {
+    Pid from;
+    Pid to;
+    SharedBytes payload;
+  };
+  std::vector<InFlight> pending;
+  for (int step = 0; step < 4000; ++step) {
+    const auto p = static_cast<Pid>(rng.below(static_cast<std::uint64_t>(n)));
+    DagCore& core = cores[static_cast<std::size_t>(p)];
+    std::vector<std::size_t> mine;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].to == p) mine.push_back(i);
+    }
+    std::optional<InFlight> msg;
+    if (!mine.empty() && rng.below(3) != 0) {
+      const std::size_t i = mine[rng.below(mine.size())];
+      msg = pending[i];
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    const Incoming in{msg ? msg->from : -1, msg ? &msg->payload.get() : nullptr};
+    core.on_step(msg ? &in : nullptr,
+                 FdValue::of_quorum(ProcessSet::single(p)));
+    if (rng.below(4) == 0) {
+      std::vector<Outgoing> out;
+      core.gossip_deltas(out);
+      for (Outgoing& o : out) pending.push_back({p, o.to, std::move(o.payload)});
+    }
+    NodeRef& u = barrier[static_cast<std::size_t>(p)];
+    if (u.q < 0 || rng.below(12) == 0) {
+      if (rng.below(2) == 0) {
+        u = NodeRef{p, core.k()};
+      } else {
+        const auto q = static_cast<Pid>(rng.below(static_cast<std::uint64_t>(n)));
+        const std::uint32_t count = core.dag().count_of(q);
+        if (count > 0) {
+          u = NodeRef{q, static_cast<std::uint32_t>(1 + rng.below(count))};
+        }
+      }
+    }
+    ASSERT_EQ(core.fair_chain(u, batch),
+              testref::fair_chain(core.dag(), u, batch))
+        << "step " << step << " at " << p;
+  }
+  DagWork work;
+  for (const DagCore& core : cores) work += core.work();
+  EXPECT_GT(work.walks_resumed, 10 * work.walks_restarted);
+  EXPECT_GT(work.walks_restarted, 100);
+  EXPECT_GT(work.walk_searches, 0);
+  EXPECT_GT(work.held_skipped, 0);
+  EXPECT_GT(work.nodes_decoded, 0);
+  EXPECT_EQ(work.held_validated, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Batch, KeptWalkGrowth, testing::Values(1, 2, 8),
+                         [](const auto& info) {
+                           return "b" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace nucon

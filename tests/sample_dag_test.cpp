@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace nucon {
 namespace {
 
@@ -102,7 +104,8 @@ TEST(SampleDag, SerializeRoundTrip) {
   EXPECT_EQ(decoded->total_nodes(), 3u);
   EXPECT_EQ(decoded->total_edges(), a.total_edges());
   EXPECT_EQ(decoded->node(NodeRef{0, 2}).d, q({0}));
-  EXPECT_EQ(decoded->node(NodeRef{0, 2}).vc, a.node(NodeRef{0, 2}).vc);
+  EXPECT_TRUE(std::ranges::equal(decoded->node(NodeRef{0, 2}).vc,
+                                 a.node(NodeRef{0, 2}).vc));
 }
 
 TEST(SampleDag, SerializeBytesArePinned) {
@@ -133,6 +136,21 @@ TEST(SampleDag, SerializeBytesArePinned) {
       0x02, 0x01, 0x00,                          //   vc [2,1,0]
   };
   EXPECT_EQ(dag.serialize(), expected);
+}
+
+TEST(SampleDag, DeserializeRejectsAShrinkingView) {
+  // Two processes; chain 0 holds (0,1) with view {0,1} and (0,2) with the
+  // given view; chain 1 holds (1,1) with view {0,0}.
+  const auto whole = [](std::uint8_t vc1) {
+    return Bytes{0x04,                    // n = 2
+                 0x02,                    // chain 0: 2 samples
+                 0x00, 0x00, 0x01,        //   empty, vc [0,1]
+                 0x00, 0x01, vc1,         //   empty, vc [1,vc1]
+                 0x01,                    // chain 1: 1 sample
+                 0x00, 0x00, 0x00};       //   empty, vc [0,0]
+  };
+  EXPECT_TRUE(SampleDag::deserialize(whole(1)));
+  EXPECT_FALSE(SampleDag::deserialize(whole(0)));
 }
 
 TEST(SampleDag, DeserializeRejectsGarbage) {

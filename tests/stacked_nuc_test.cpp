@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "consensus_test_util.hpp"
+#include "exp/sweep.hpp"
 #include "fd/composed.hpp"
 #include "fd/sigma_nu.hpp"
 
@@ -50,6 +51,8 @@ TEST_P(StackedSweep, SolvesNonuniformConsensusFromRawSigmaNu) {
   EXPECT_TRUE(stats.verdict.termination) << stats.verdict.detail;
   EXPECT_TRUE(stats.verdict.validity) << stats.verdict.detail;
   EXPECT_TRUE(stats.verdict.nonuniform_agreement) << stats.verdict.detail;
+  // Honest senders re-send held nodes as the receiver's own bytes.
+  EXPECT_EQ(stats.metrics.counter_value("dag.held_validated"), 0);
 }
 
 std::vector<SweepParam> stacked_params() {
@@ -96,6 +99,25 @@ TEST(StackedNuc, TransformationOutputsShrinkFromPi) {
         sim.automata[static_cast<std::size_t>(p)].get());
     EXPECT_GT(a->transformation().outputs_produced(), 0) << p;
   }
+}
+
+TEST(StackedNuc, DagWorkCountersArePinned) {
+  // The benchmark's stacked point (n=6, one fault) at one seed.
+  exp::SweepPoint pt;
+  pt.algo = exp::Algo::kStacked;
+  pt.n = 6;
+  pt.faults = 1;
+  pt.seed = 20000;
+  const ConsensusRunStats stats = exp::run_point(pt);
+  const trace::MetricsRegistry& m = stats.metrics;
+  EXPECT_EQ(stats.steps, 2409);
+  EXPECT_EQ(m.counter_value("dag.nodes_decoded"), 9360);
+  EXPECT_EQ(m.counter_value("dag.held_skipped"), 47700);
+  EXPECT_EQ(m.counter_value("dag.held_validated"), 0);
+  EXPECT_EQ(m.counter_value("dag.walk_searches"), 9313);
+  // One walk per step: resumed unless the barrier moved.
+  EXPECT_EQ(m.counter_value("dag.walks_resumed"), 2275);
+  EXPECT_EQ(m.counter_value("dag.walks_restarted"), 134);
 }
 
 TEST(StackedNuc, GarbledChannelByteIsDropped) {
