@@ -6,8 +6,8 @@
 #
 #   check-default   configure + build + the whole ctest suite (RelWithDebInfo)
 #   check-debug     configure + build + the whole ctest suite (Debug)
-#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim/core-labeled ctest under ASan/UBSan
-#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim/core-labeled ctest under TSan
+#   check-asan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim/core/util/algo-labeled ctest under ASan/UBSan
+#   check-tsan      configure + build + sweep/obs/mc/fuzz/fdqos/prof/scale/oracle/dag/sim/core/util/algo-labeled ctest under TSan
 #
 # (check-debug is the one run without NDEBUG, so the assert-only checks
 # execute there: QuorumHistory's cache against the quadratic recompute,
@@ -27,7 +27,12 @@
 # replay, Lemma 2.2 merging, the hand-driven register runs) and the
 # stacked automata that share a link through ChannelMux, and core covers
 # A_nuc and its quorum history, whose row decoder reads untrusted bytes
-# (quorum_history, anuc and contamination suites) — all
+# (quorum_history, anuc, contamination, the shared-decode differential
+# and the hermetic-heap suites), and util covers the byte codec and the
+# other utility suites (process sets, rng, detector values, stats,
+# failure patterns, trace), and algo covers the baseline algorithms whose
+# readers take payload views (MR, CT, Ben-Or), the replicated log, the
+# reductions, the harness and the checkers — together every suite, all
 # worth re-running under the sanitizers, the scale suite especially because the
 # heap-spilled set words are fresh allocator traffic), then runs the
 # quick throughput baselines plus the 10s fuzz smoke campaign

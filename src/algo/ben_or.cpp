@@ -31,7 +31,7 @@ BenOr::BenOr(Pid self, Value proposal, Pid n, Pid t, std::uint64_t coin_seed)
 void BenOr::step(const Incoming* in, const FdValue& d,
                  std::vector<Outgoing>& out) {
   (void)d;  // oracle-free
-  if (in != nullptr) on_message(in->from, *in->payload);
+  if (in != nullptr) on_message(in->from, in->payload);
   if (round_ == 0) start_round(out);
   advance(out);
 }
@@ -43,7 +43,7 @@ void BenOr::start_round(std::vector<Outgoing>& out) {
   broadcast(n_, encode(kTagReport, round_, x_), out);
 }
 
-void BenOr::on_message(Pid from, const Bytes& payload) {
+void BenOr::on_message(Pid from, ByteView payload) {
   ByteReader r(payload);
   const auto tag = r.u8();
   const auto round = r.uvarint();

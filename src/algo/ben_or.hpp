@@ -66,7 +66,7 @@ class BenOr final : public ConsensusAutomaton {
     }
   };
 
-  void on_message(Pid from, const Bytes& payload);
+  void on_message(Pid from, ByteView payload);
   void advance(std::vector<Outgoing>& out);
   void start_round(std::vector<Outgoing>& out);
 

@@ -20,7 +20,7 @@ CtConsensus::CtConsensus(Pid self, Value proposal, Pid n)
 
 void CtConsensus::step(const Incoming* in, const FdValue& d,
                        std::vector<Outgoing>& out) {
-  if (in != nullptr) on_message(in->from, *in->payload, out);
+  if (in != nullptr) on_message(in->from, in->payload, out);
   if (round_ == 0) start_round(out);
   advance(d, out);
 }
@@ -51,7 +51,7 @@ void CtConsensus::flood_decide(Value v, std::vector<Outgoing>& out) {
   broadcast(n_, SharedBytes(scratch_.buffer()), out);
 }
 
-void CtConsensus::on_message(Pid from, const Bytes& payload,
+void CtConsensus::on_message(Pid from, ByteView payload,
                              std::vector<Outgoing>& out) {
   ByteReader r(payload);
   const auto tag = r.u8();

@@ -66,7 +66,7 @@ class CtConsensus final : public ConsensusAutomaton {
     int replies = 0;
   };
 
-  void on_message(Pid from, const Bytes& payload, std::vector<Outgoing>& out);
+  void on_message(Pid from, ByteView payload, std::vector<Outgoing>& out);
   void advance(const FdValue& d, std::vector<Outgoing>& out);
   void start_round(std::vector<Outgoing>& out);
   void flood_decide(Value v, std::vector<Outgoing>& out);

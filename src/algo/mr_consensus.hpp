@@ -85,7 +85,7 @@ class MrConsensus final : public ConsensusAutomaton {
 
   void start_round(std::vector<Outgoing>& out);
   void advance(const FdValue& d, std::vector<Outgoing>& out);
-  void on_message(Pid from, const Bytes& payload);
+  void on_message(Pid from, ByteView payload);
 
   /// True when every member of the FD quorum `q` has a stored message in
   /// `slot` for the current round.

@@ -25,7 +25,7 @@ SharedBytes MrConsensus::encode(std::uint8_t tag, int round, Value v) {
   return SharedBytes(scratch_.buffer());
 }
 
-void MrConsensus::on_message(Pid from, const Bytes& payload) {
+void MrConsensus::on_message(Pid from, ByteView payload) {
   ByteReader r(payload);
   const auto tag = r.u8();
   const auto round = r.uvarint();
@@ -65,7 +65,7 @@ void MrConsensus::start_round(std::vector<Outgoing>& out) {
 
 void MrConsensus::step(const Incoming* in, const FdValue& d,
                        std::vector<Outgoing>& out) {
-  if (in != nullptr) on_message(in->from, *in->payload);
+  if (in != nullptr) on_message(in->from, in->payload);
   if (round_ == 0) start_round(out);
   advance(d, out);
 }

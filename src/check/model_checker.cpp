@@ -602,7 +602,10 @@ Expansion expand(const McOptions& opts, bool use_por, std::uint64_t run_tag,
       sends.clear();
       if (widx >= 0) {
         const Wire& wire = cfg.wires[static_cast<std::size_t>(widx)];
-        const Incoming in{wire.id.sender, &pool.at(wire.payload)};
+        // No `shared`: workers read the pool's buffers concurrently, and
+        // a buffer's decode slot is not synchronized. StepMemo already
+        // caches whole transitions per worker.
+        const Incoming in{wire.id.sender, pool.at(wire.payload)};
         child.step(&in, d, sends);
       } else {
         child.step(nullptr, d, sends);

@@ -1,8 +1,7 @@
 #include "core/anuc.hpp"
 
 #include <cassert>
-#include <deque>
-#include <unordered_map>
+#include <climits>
 
 namespace nucon {
 namespace {
@@ -13,80 +12,37 @@ constexpr std::uint8_t kTagProp = 3;
 constexpr std::uint8_t kTagSaw = 4;
 constexpr std::uint8_t kTagAck = 5;
 
-/// Memoized LEAD/PROP payload parse. A broadcast seals one payload buffer
-/// and hands every receiver a refcount share, so the n receivers used to
-/// parse identical bytes n times — with histories growing over a run that
-/// was the dominant per-step cost at scale. The memo is keyed by buffer
-/// identity (the sealed Bytes address): each entry pins the buffer alive
-/// via SharedBytes::ref(), so a key can never be reused by a different
-/// payload while its entry exists, making a hit exact by construction (no
-/// hashing of content, no collision risk). Thread-local because payloads
-/// never cross threads (one sweep job runs wholly on one worker thread).
-///
-/// `h == nullptr` caches "malformed": same bytes, same verdict.
+/// A LEAD/PROP payload's parse, shared by the receivers of one broadcast
+/// through the sealed buffer's decode slot (SharedBytes::decoded): parsing
+/// a whole history once per receiver was the dominant per-step cost at
+/// scale. `h == nullptr` records "malformed": same bytes, same verdict.
 struct ParsedLeadProp {
   std::uint64_t round = 0;
   Value v = 0;
   std::shared_ptr<const QuorumHistory> h;
 };
 
-class LeadPropMemo {
- public:
-  /// Returns the parse of `payload` (tag already consumed by the caller),
-  /// reusing a previous receiver's parse of the same sealed buffer when
-  /// `shared` identifies one.
-  const ParsedLeadProp& parse(const Bytes& payload, const SharedBytes* shared) {
-    if (shared == nullptr || shared->raw() == nullptr) {
-      scratch_ = parse_fresh(payload);
-      return scratch_;
-    }
-    const Bytes* key = shared->raw();
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) return it->second.parsed;
-    if (fifo_.size() >= kCapacity) {
-      entries_.erase(fifo_.front());
-      fifo_.pop_front();
-    }
-    Entry e;
-    e.keepalive = shared->ref();
-    e.parsed = parse_fresh(payload);
-    fifo_.push_back(key);
-    return entries_.emplace(key, std::move(e)).first->second.parsed;
-  }
+ParsedLeadProp parse_lead_prop(ByteView payload) {
+  ByteReader r(payload);
+  (void)r.u8();  // tag, validated by the caller
+  ParsedLeadProp p;
+  const auto round = r.uvarint();
+  const auto v = r.svarint();
+  if (!round || !v) return p;
+  auto h = QuorumHistory::decode(r);
+  if (!h || !r.done()) return p;
+  p.round = *round;
+  p.v = *v;
+  p.h = std::make_shared<const QuorumHistory>(std::move(*h));
+  return p;
+}
 
- private:
-  /// Bounds memory: entries only matter while a broadcast's shares are
-  /// still being delivered, a window of a couple of algorithm rounds.
-  static constexpr std::size_t kCapacity = 4096;
-
-  struct Entry {
-    std::shared_ptr<const Bytes> keepalive;
-    ParsedLeadProp parsed;
-  };
-
-  static ParsedLeadProp parse_fresh(const Bytes& payload) {
-    ByteReader r(payload);
-    (void)r.u8();  // tag, validated by the caller
-    ParsedLeadProp p;
-    const auto round = r.uvarint();
-    const auto v = r.svarint();
-    if (!round || !v) return p;
-    auto h = QuorumHistory::decode(r);
-    if (!h || !r.done()) return p;
-    p.round = *round;
-    p.v = *v;
-    p.h = std::make_shared<const QuorumHistory>(std::move(*h));
-    return p;
-  }
-
-  std::unordered_map<const Bytes*, Entry> entries_;
-  std::deque<const Bytes*> fifo_;
-  ParsedLeadProp scratch_;
-};
-
-LeadPropMemo& lead_prop_memo() {
-  thread_local LeadPropMemo memo;
-  return memo;
+/// A round number read from a message or a saved state; nullopt when it
+/// does not fit the automaton's `int` rounds, which makes the message or
+/// state malformed (no run gets anywhere near that bound).
+std::optional<int> as_round(std::optional<std::uint64_t> v) {
+  if (!v || *v > static_cast<std::uint64_t>(INT_MAX)) return std::nullopt;
+  return static_cast<int>(*v);
 }
 
 }  // namespace
@@ -113,7 +69,7 @@ bool Anuc::distrusts(Pid q) {
 
 void Anuc::step(const Incoming* in, const FdValue& d,
                 std::vector<Outgoing>& out) {
-  if (in != nullptr) on_message(in->from, *in->payload, in->shared, out);
+  if (in != nullptr) on_message(in->from, in->payload, in->shared, out);
   if (round_ == 0) start_round(out);
   advance(d, out);
 }
@@ -130,8 +86,8 @@ void Anuc::start_round(std::vector<Outgoing>& out) {
   broadcast(n_, SharedBytes(scratch_.buffer()), out);
 }
 
-void Anuc::on_message(Pid from, const Bytes& payload,
-                      const SharedBytes* shared, std::vector<Outgoing>& out) {
+void Anuc::on_message(Pid from, ByteView payload, const SharedBytes* shared,
+                      std::vector<Outgoing>& out) {
   ByteReader r(payload);
   const auto tag = r.u8();
   if (!tag) return;
@@ -139,21 +95,26 @@ void Anuc::on_message(Pid from, const Bytes& payload,
   switch (*tag) {
     case kTagLead:
     case kTagProp: {
-      // One decode per sealed broadcast buffer, shared across receivers;
-      // p.h null covers every malformed case the inline parse rejected.
-      const ParsedLeadProp& p = lead_prop_memo().parse(payload, shared);
-      if (!p.h || p.h->n() != n_) return;
-      RoundMsgs& msgs = inbox_[static_cast<int>(p.round)];
+      // One parse per sealed broadcast buffer, shared across receivers.
+      ParsedLeadProp fresh;
+      if (shared == nullptr) fresh = parse_lead_prop(payload);
+      const ParsedLeadProp& p =
+          shared != nullptr
+              ? shared->decoded<ParsedLeadProp>(payload, parse_lead_prop)
+              : fresh;
+      const auto round = as_round(p.round);
+      if (!p.h || p.h->n() != n_ || !round) return;
+      RoundMsgs& msgs = inbox_[*round];
       msgs.ensure(n_);
       auto& slot = (*tag == kTagLead) ? msgs.lead[from] : msgs.prop[from];
       slot = HistoryMsg{p.v, p.h};
       break;
     }
     case kTagRep: {
-      const auto round = r.uvarint();
+      const auto round = as_round(r.uvarint());
       const auto v = r.svarint();
       if (!round || !v || !r.done()) return;
-      RoundMsgs& msgs = inbox_[static_cast<int>(*round)];
+      RoundMsgs& msgs = inbox_[*round];
       msgs.ensure(n_);
       msgs.rep[from] = *v;
       break;
@@ -174,12 +135,11 @@ void Anuc::on_message(Pid from, const Bytes& payload,
     case kTagAck: {
       // Fig. 4 lines 39-42.
       const auto quorum = r.process_set(n_);
-      const auto round = r.uvarint();
+      const auto round = as_round(r.uvarint());
       if (!quorum || !round || !r.done()) return;
       SawState& state = saw_[*quorum];
       state.acks.insert(from);
-      state.max_ack_round =
-          std::max(state.max_ack_round, static_cast<int>(*round));
+      state.max_ack_round = std::max(state.max_ack_round, *round);
       if (state.acks == *quorum) state.seen = state.max_ack_round;
       break;
     }
@@ -356,7 +316,7 @@ bool Anuc::save_state(ByteWriter& w) const {
 
 bool Anuc::restore_state(ByteReader& r) {
   const auto x = r.svarint();
-  const auto round = r.uvarint();
+  const auto round = as_round(r.uvarint());
   const auto phase = r.u8();
   const auto has_decided = r.u8();
   if (!x || !round || !phase || *phase > 2 || !has_decided) return false;
@@ -366,7 +326,7 @@ bool Anuc::restore_state(ByteReader& r) {
     if (!v) return false;
     decided = *v;
   }
-  const auto decided_round = r.uvarint();
+  const auto decided_round = as_round(r.uvarint());
   if (!decided_round) return false;
   auto history = QuorumHistory::decode(r);
   if (!history || history->n() != n_) return false;
@@ -390,9 +350,9 @@ bool Anuc::restore_state(ByteReader& r) {
         return true;
       };
   for (std::uint64_t i = 0; i < *rounds; ++i) {
-    const auto key = r.uvarint();
+    const auto key = as_round(r.uvarint());
     if (!key) return false;
-    RoundMsgs& msgs = inbox[static_cast<int>(*key)];
+    RoundMsgs& msgs = inbox[*key];
     msgs.ensure(n_);
     if (!history_slot(msgs.lead)) return false;
     for (Pid q = 0; q < n_; ++q) {
@@ -414,17 +374,17 @@ bool Anuc::restore_state(ByteReader& r) {
     const auto quorum = r.process_set(n_);
     const auto sent = r.u8();
     const auto acks = r.process_set(n_);
-    const auto max_ack_round = r.uvarint();
+    const auto max_ack_round = as_round(r.uvarint());
     const auto has_seen = r.u8();
     if (!quorum || !sent || !acks || !max_ack_round || !has_seen) return false;
     SawState& state = saw[*quorum];
     state.sent = *sent != 0;
     state.acks = *acks;
-    state.max_ack_round = static_cast<int>(*max_ack_round);
+    state.max_ack_round = *max_ack_round;
     if (*has_seen != 0) {
-      const auto seen = r.uvarint();
+      const auto seen = as_round(r.uvarint());
       if (!seen) return false;
-      state.seen = static_cast<int>(*seen);
+      state.seen = *seen;
     }
   }
   const auto calls = r.svarint();
@@ -432,10 +392,10 @@ bool Anuc::restore_state(ByteReader& r) {
   if (!calls || !hits) return false;
 
   x_ = *x;
-  round_ = static_cast<int>(*round);
+  round_ = *round;
   phase_ = static_cast<Phase>(*phase);
   decided_ = decided;
-  decided_round_ = static_cast<int>(*decided_round);
+  decided_round_ = *decided_round;
   history_ = std::move(*history);
   inbox_ = std::move(inbox);
   saw_ = std::move(saw);

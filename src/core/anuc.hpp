@@ -76,8 +76,8 @@ class Anuc final : public ConsensusAutomaton {
   static constexpr Value kQuestion = INT64_MIN;
 
   /// The history rides immutably from decode to import, so receivers of
-  /// one broadcast share a single decoded object (see the decode memo in
-  /// anuc.cpp) instead of each parsing identical bytes.
+  /// one broadcast share a single decoded object (the sealed buffer's
+  /// decode slot) instead of each parsing identical bytes.
   struct HistoryMsg {
     Value v = 0;
     std::shared_ptr<const QuorumHistory> h;
@@ -113,7 +113,7 @@ class Anuc final : public ConsensusAutomaton {
     std::optional<int> seen;
   };
 
-  void on_message(Pid from, const Bytes& payload, const SharedBytes* shared,
+  void on_message(Pid from, ByteView payload, const SharedBytes* shared,
                   std::vector<Outgoing>& out);
   void advance(const FdValue& d, std::vector<Outgoing>& out);
   void start_round(std::vector<Outgoing>& out);

@@ -19,13 +19,12 @@ void FromScratchConsensus::step(const Incoming* in, const FdValue& d,
                                 std::vector<Outgoing>& out) {
   (void)d;  // no oracle anywhere in this stack
 
-  mux_.receive(in);
-  mux_.step(omega_, kChannelOmega, FdValue{}, out);
-  mux_.step(sigma_, kChannelSigma, FdValue{}, out);
+  mux_.step(in, omega_, kChannelOmega, FdValue{}, out);
+  mux_.step(in, sigma_, kChannelSigma, FdValue{}, out);
 
   const FdValue synthesized = FdValue::combine(
       omega_.emulated_output(), sigma_.emulated_output());
-  mux_.step(consensus_, kChannelConsensus, synthesized, out);
+  mux_.step(in, consensus_, kChannelConsensus, synthesized, out);
 }
 
 ConsensusFactory make_from_scratch(Pid n, Pid t) {

@@ -35,7 +35,7 @@ void OmegaElection::step(const Incoming* in, const FdValue& d,
   ++own_steps_;
 
   if (in != nullptr) {
-    ByteReader r(*in->payload);
+    ByteReader r(in->payload);
     if (const auto tag = r.u8(); tag && *tag == 1 && r.done()) {
       refresh(in->from);
     }

@@ -189,7 +189,7 @@ class GossipUnionCandidate final : public Automaton, public EmulatedFd {
   void step(const Incoming* in, const FdValue& d,
             std::vector<Outgoing>& out) override {
     if (in != nullptr) {
-      ByteReader r(*in->payload);
+      ByteReader r(in->payload);
       if (const auto q = r.process_set(n_); q && r.done()) heard_ |= *q;
     }
     if (d.has_quorum()) {

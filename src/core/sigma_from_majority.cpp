@@ -23,7 +23,7 @@ void SigmaFromMajority::step(const Incoming* in, const FdValue& d,
   if (round_ == 0) begin_round(out);
 
   if (in != nullptr) {
-    ByteReader r(*in->payload);
+    ByteReader r(in->payload);
     const auto msg_round = r.uvarint();
     if (msg_round && r.done()) {
       heard_[static_cast<int>(*msg_round)].insert(in->from);

@@ -13,15 +13,13 @@ StackedNuc::StackedNuc(Pid self, Value proposal, Pid n, int gossip_every)
 
 void StackedNuc::step(const Incoming* in, const FdValue& d,
                       std::vector<Outgoing>& out) {
-  mux_.receive(in);
-
   // The transformation samples the raw Sigma^nu quorum.
-  mux_.step(transform_, kChannelTransform, d, out);
+  mux_.step(in, transform_, kChannelTransform, d, out);
 
   // A_nuc sees (Omega directly, Sigma^nu+ through the output variable).
   FdValue synthesized = transform_.emulated_output();
   if (d.has_leader()) synthesized.set_leader(d.leader());
-  mux_.step(consensus_, kChannelConsensus, synthesized, out);
+  mux_.step(in, consensus_, kChannelConsensus, synthesized, out);
 }
 
 ConsensusFactory make_stacked_nuc(Pid n, int gossip_every) {

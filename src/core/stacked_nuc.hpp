@@ -35,8 +35,8 @@ class StackedNuc final : public ConsensusAutomaton {
     return consensus_.snapshot();
   }
 
-  /// Complete state = both components' complete states (the mux is
-  /// per-step scratch, overwritten before every use).
+  /// Complete state = both components' complete states (the mux keeps
+  /// only send scratch, cleared before every use).
   [[nodiscard]] bool save_state(ByteWriter& w) const override {
     return transform_.save_state(w) && consensus_.save_state(w);
   }

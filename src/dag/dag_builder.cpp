@@ -8,7 +8,7 @@ NodeRef DagCore::on_step(const Incoming* in, const FdValue& d) {
   // Malformed or foreign-sized gossip, or a delta that starts past what
   // this DAG holds, is dropped whole, matching the listing's assumption
   // that messages are DAGs.
-  if (in != nullptr) (void)dag_.merge_payload(*in->payload, &work_);
+  if (in != nullptr) (void)dag_.merge_payload(in->payload, &work_);
   ++k_;
   return dag_.take_sample(self_, d);
 }

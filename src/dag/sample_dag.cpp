@@ -150,7 +150,7 @@ bool SampleDag::decode_next(Chain& chain, ByteReader& r) {
   return true;
 }
 
-bool SampleDag::merge_payload(const Bytes& data, DagWork* work) {
+bool SampleDag::merge_payload(ByteView data, DagWork* work) {
   ByteReader r(data);
   const auto header = r.svarint();
   if (!header || (*header != n_ && *header != -std::int64_t{n_})) return false;

@@ -159,8 +159,7 @@ class SampleDag {
   /// DAG holds, or has a new node whose view is below its predecessor's in
   /// some entry. `work`, when given, counts the nodes of an accepted
   /// payload.
-  [[nodiscard]] bool merge_payload(const Bytes& data,
-                                   DagWork* work = nullptr);
+  [[nodiscard]] bool merge_payload(ByteView data, DagWork* work = nullptr);
 
   /// The DAG a payload describes on its own (merged into an empty DAG).
   [[nodiscard]] static std::optional<SampleDag> deserialize(const Bytes& data);

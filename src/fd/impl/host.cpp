@@ -17,10 +17,9 @@ FdHost::FdHost(Pid self, Pid n, HeartbeatMode mode,
 
 void FdHost::step(const Incoming* in, const FdValue& d,
                   std::vector<Outgoing>& out) {
-  mux_.receive(in);
-  mux_.step(hb_, kChannelFd, d, out);
+  mux_.step(in, hb_, kChannelFd, d, out);
   board_->publish(hb_.self(), hb_.output());
-  mux_.step(*inner_, kChannelInner, d, out);
+  mux_.step(in, *inner_, kChannelInner, d, out);
 }
 
 HostedConsensus make_hosted_consensus(ConsensusFactory inner, Pid n,

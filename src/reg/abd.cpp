@@ -26,11 +26,11 @@ AbdRegister::AbdRegister(Pid self, Pid n, std::vector<RegOp> workload)
 void AbdRegister::step(const Incoming* in, const FdValue& d,
                        std::vector<Outgoing>& out) {
   ++own_steps_;
-  if (in != nullptr) on_message(in->from, *in->payload, out);
+  if (in != nullptr) on_message(in->from, in->payload, out);
   advance(d, out);
 }
 
-void AbdRegister::on_message(Pid from, const Bytes& payload,
+void AbdRegister::on_message(Pid from, ByteView payload,
                              std::vector<Outgoing>& out) {
   ByteReader r(payload);
   const auto tag = r.u8();

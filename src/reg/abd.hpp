@@ -101,7 +101,7 @@ class AbdRegister final : public Automaton {
     std::int64_t invoked_step = 0;
   };
 
-  void on_message(Pid from, const Bytes& payload, std::vector<Outgoing>& out);
+  void on_message(Pid from, ByteView payload, std::vector<Outgoing>& out);
   void advance(const FdValue& d, std::vector<Outgoing>& out);
   void begin_phase(std::vector<Outgoing>& out);
 

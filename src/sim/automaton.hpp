@@ -21,15 +21,15 @@
 
 namespace nucon {
 
-/// A message handed to an automaton during a step.
+/// A message handed to an automaton during a step. The automaton reads
+/// `payload` during the step and never keeps the view past it.
 struct Incoming {
   Pid from = -1;
-  const Bytes* payload = nullptr;
-  /// The refcounted payload the bytes live in, when the deliverer has one
-  /// (the schedulers set it; multiplexers handing out re-framed sub-buffers
-  /// leave it null). Lets receivers of a broadcast share one decode of the
-  /// sealed buffer instead of parsing identical bytes n times; `*payload`
-  /// aliases `shared->get()` whenever it is set.
+  ByteView payload;
+  /// The sealed buffer `payload` lies in, set only by executors that
+  /// deliver it on one thread (the step kernel's) and passed on by a
+  /// ChannelMux. Lets a broadcast's receivers share one decode of it
+  /// (SharedBytes::decoded) instead of parsing identical bytes n times.
   const SharedBytes* shared = nullptr;
 };
 
@@ -157,27 +157,20 @@ void reframe_sends(std::vector<Outgoing>& sends, ByteWriter& scratch,
 
 /// One link shared by the components of a stacked automaton (StackedNuc,
 /// FromScratchConsensus, FdHost): every message carries a one-byte channel
-/// prefix naming the component it belongs to. A step calls receive() once,
-/// then step() for each component in the order the composition needs.
+/// prefix naming the component it belongs to. A step calls step() on its
+/// message for each component, in the order the composition needs.
 class ChannelMux {
  public:
-  /// Opens the step's message (nullptr for lambda): reads its channel and
-  /// copies out the payload past the prefix.
-  void receive(const Incoming* in);
-
-  /// Steps `component` on the opened message if it is on `channel`, else
-  /// on lambda, and appends the component's sends to `out`, each prefixed
-  /// with `channel`. An empty payload or a channel no component steps on
-  /// reaches every component as lambda.
-  void step(Automaton& component, std::uint8_t channel, const FdValue& d,
-            std::vector<Outgoing>& out);
+  /// Steps `component` on `in` (nullptr for lambda) if it is on
+  /// `channel`, else on lambda, and appends the component's sends to
+  /// `out`, each prefixed with `channel`. The component gets a view of the
+  /// same sealed buffer past the channel byte, and the buffer itself. An
+  /// empty payload or a channel no component steps on is lambda for all.
+  void step(const Incoming* in, Automaton& component, std::uint8_t channel,
+            const FdValue& d, std::vector<Outgoing>& out);
 
  private:
-  // Plain values only, so a cloned composition's copy of the mux holds
-  // nothing that points into the original.
-  int channel_ = -1;  // channel of the opened message; -1 for lambda
-  Pid from_ = -1;
-  Bytes payload_;     // the opened message without its channel byte
+  // Send scratch only: the mux keeps nothing between steps.
   std::vector<Outgoing> sends_;
   ByteWriter frame_;
 };

@@ -11,7 +11,7 @@ void deliver(Automaton& a, const std::optional<Message>& m, const FdValue& d,
     a.step(nullptr, d, sends);
     return;
   }
-  const Incoming in{m->id.sender, &m->payload.get(), &m->payload};
+  const Incoming in{m->id.sender, m->payload.get(), &m->payload};
   a.step(&in, d, sends);
 }
 

@@ -18,8 +18,8 @@
 namespace nucon {
 
 /// Steps `a` on `m` (lambda when empty) with detector value `d`, replacing
-/// `sends` with the step's sends. The Incoming carries m's refcounted
-/// payload, so the receivers of one broadcast can share one decode.
+/// `sends` with the step's sends. The Incoming carries m's sealed buffer
+/// (delivered on one thread), so a broadcast's receivers share one decode.
 void deliver(Automaton& a, const std::optional<Message>& m, const FdValue& d,
              std::vector<Outgoing>& sends);
 

@@ -91,7 +91,7 @@ void ReplicatedLog::open_instance(std::vector<Outgoing>& out) {
     if (it != future_.end()) {
       for (const auto& [from, payload] : it->second) {
         instance_sends_.clear();
-        const Incoming in{from, &payload};
+        const Incoming in{from, payload};
         current_->step(&in, FdValue{}, instance_sends_);
         frame_instance_sends(instance_, out);
       }
@@ -138,7 +138,7 @@ void ReplicatedLog::step(const Incoming* in, const FdValue& d,
   Incoming inner;
   Bytes inner_payload;
   if (in != nullptr) {
-    ByteReader r(*in->payload);
+    ByteReader r(in->payload);
     const auto type = r.u8();
     if (type && *type == kFrameSubmit) {
       if (const auto count = r.uvarint(); count && *count <= r.remaining()) {
@@ -156,7 +156,7 @@ void ReplicatedLog::step(const Incoming* in, const FdValue& d,
           if (auto payload = r.bytes(); payload && r.done()) {
             if (k == instance_) {
               inner_payload = std::move(*payload);
-              inner = Incoming{in->from, &inner_payload};
+              inner = Incoming{in->from, inner_payload};
               for_current = &inner;
             } else if (k > instance_) {
               future_[k].push_back({in->from, std::move(*payload)});
@@ -172,7 +172,7 @@ void ReplicatedLog::step(const Incoming* in, const FdValue& d,
               // driven by the laggard's traffic and this step's real
               // detector value.
               instance_sends_.clear();
-              const Incoming old{in->from, &*payload};
+              const Incoming old{in->from, *payload};
               retired->second->step(&old, d, instance_sends_);
               frame_instance_sends(k, out);
             }

@@ -19,6 +19,7 @@
 namespace nucon {
 
 using Bytes = std::vector<std::uint8_t>;
+using ByteView = std::span<const std::uint8_t>;  ///< bytes owned elsewhere
 
 /// Appends primitive values to a growing byte buffer.
 class ByteWriter {
@@ -74,7 +75,7 @@ class ByteWriter {
 
   /// Appends the bytes verbatim, no length prefix (framing protocols that
   /// delimit by "rest of the message").
-  void raw(std::span<const std::uint8_t> b) {
+  void raw(ByteView b) {
     out_.insert(out_.end(), b.begin(), b.end());
   }
 
@@ -97,7 +98,7 @@ class ByteWriter {
 /// of bounds.
 class ByteReader {
  public:
-  explicit ByteReader(const Bytes& data) : data_(data.data()), size_(data.size()) {}
+  explicit ByteReader(ByteView data) : data_(data.data()), size_(data.size()) {}
   ByteReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
   /// A reader only borrows the buffer; constructing one from a temporary
   /// would leave it dangling as soon as the statement ends.
@@ -187,7 +188,7 @@ class ByteReader {
 
   /// Consumes `prefix` when the unread input starts with it; otherwise
   /// reads nothing.
-  [[nodiscard]] bool skip_prefix(std::span<const std::uint8_t> prefix) {
+  [[nodiscard]] bool skip_prefix(ByteView prefix) {
     if (prefix.size() > size_ - pos_ ||
         !std::equal(prefix.begin(), prefix.end(), data_ + pos_)) {
       return false;

@@ -3,10 +3,10 @@
 // A broadcast used to copy its encoded payload once per destination; with
 // n processes that is n-1 redundant copies of buffers that are never
 // mutated after encoding. SharedBytes wraps the encoded Bytes in a
-// shared_ptr<const Bytes>, so a broadcast enqueues n refcount bumps
-// instead of n buffer copies while receivers still observe a plain
-// `const Bytes&` (payload immutability is what makes the sharing sound:
-// the simulator treats every in-flight payload as sealed at send time).
+// shared_ptr, so a broadcast enqueues n refcount bumps instead of n
+// buffer copies, and its receivers share one decode of the sealed buffer
+// (payload immutability is what makes the sharing sound: the simulator
+// treats every in-flight payload as sealed at send time).
 //
 // The class also keeps thread-local byte accounting (PayloadCounters) so
 // the scheduler and bench_hotpath can report, per run, how many payload
@@ -16,6 +16,8 @@
 // executes wholly on one worker thread.
 #pragma once
 
+#include <any>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -57,19 +59,19 @@ class SharedBytes {
   /// never copies. Implicit so the many `{to, w.take()}` send sites keep
   /// reading as plain value construction.
   SharedBytes(Bytes&& b)  // NOLINT(google-explicit-constructor)
-      : data_(std::make_shared<const Bytes>(std::move(b))) {
+      : data_(std::make_shared<const Sealed>(std::move(b))) {
     counters().payloads += 1;
-    counters().payload_bytes += data_->size();
+    counters().payload_bytes += size();
   }
 
   /// Seals a copy of a buffer the caller keeps (a reused scratch writer's
   /// buffer). Explicit because it is the one constructor that deep-copies,
   /// and the copy is charged to `copied_bytes`.
   explicit SharedBytes(const Bytes& b)
-      : data_(std::make_shared<const Bytes>(b)) {
+      : data_(std::make_shared<const Sealed>(b)) {
     counters().payloads += 1;
-    counters().payload_bytes += data_->size();
-    counters().copied_bytes += data_->size();
+    counters().payload_bytes += size();
+    counters().copied_bytes += size();
   }
 
   SharedBytes(const SharedBytes& other) : data_(other.data_) {
@@ -86,26 +88,44 @@ class SharedBytes {
   SharedBytes& operator=(SharedBytes&&) noexcept = default;
 
   /// The payload content; a default-constructed SharedBytes reads as
-  /// empty. Stable for the lifetime of any share, so `&payload.get()` is
-  /// a valid `Incoming::payload`.
+  /// empty. Stable for the lifetime of any share, so a view of it is a
+  /// valid `Incoming::payload`.
   [[nodiscard]] const Bytes& get() const {
     static const Bytes kEmpty;
-    return data_ ? *data_ : kEmpty;
+    return data_ ? data_->bytes : kEmpty;
   }
 
-  [[nodiscard]] std::size_t size() const { return data_ ? data_->size() : 0; }
+  [[nodiscard]] std::size_t size() const {
+    return data_ ? data_->bytes.size() : 0;
+  }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
   /// Buffer identity (not content): two shares of one broadcast compare
   /// equal, two separately encoded but equal payloads do not. Multiplexers
   /// use this to frame a broadcast's payload once instead of per share.
-  [[nodiscard]] const Bytes* raw() const { return data_.get(); }
+  [[nodiscard]] const Bytes* raw() const {
+    return data_ ? &data_->bytes : nullptr;
+  }
 
-  /// A plain keepalive reference to the sealed buffer. Unlike copying the
-  /// SharedBytes this is NOT a network share and is not charged to the
-  /// fan-out counters; decode memoization uses it to pin a buffer so its
-  /// address stays a unique cache key while the entry lives.
-  [[nodiscard]] std::shared_ptr<const Bytes> ref() const { return data_; }
+  /// The receivers' shared decode of `view`, the part of this buffer they
+  /// read: the first call stores `decode(view)` in the buffer's one slot,
+  /// and every later call, through any share, returns the stored value.
+  /// Exact because the bytes are sealed, `decode` is pure and every
+  /// receiver reads the same view (debug builds check the range). A second
+  /// T throws std::bad_any_cast. The slot is not synchronized: only an
+  /// executor that delivers the buffer on one thread may hand it out.
+  template <typename T, typename Decode>
+  [[nodiscard]] const T& decoded(ByteView view, Decode&& decode) const {
+    const Sealed& s = *data_;
+    if (!s.slot.has_value()) {
+      s.slot.emplace<T>(decode(view));
+#ifndef NDEBUG
+      s.view = view;
+#endif
+    }
+    assert(view.data() == s.view.data() && view.size() == s.view.size());
+    return std::any_cast<const T&>(s.slot);
+  }
 
   /// Content equality (tests).
   friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
@@ -123,7 +143,15 @@ class SharedBytes {
   }
 
  private:
-  std::shared_ptr<const Bytes> data_;
+  struct Sealed {
+    Bytes bytes;
+    mutable std::any slot;  // decoded()'s, and the view it decoded
+#ifndef NDEBUG
+    mutable ByteView view;
+#endif
+  };
+
+  std::shared_ptr<const Sealed> data_;
 };
 
 }  // namespace nucon

@@ -230,7 +230,7 @@ std::vector<Outgoing> follower_receives_lead(Anuc& follower) {
   leader.step(nullptr, d, lead);
   EXPECT_EQ(lead.size(), static_cast<std::size_t>(kCap));
   const SharedBytes& payload = lead[1].payload;
-  const Incoming in{0, &payload.get(), &payload};
+  const Incoming in{0, payload.get(), &payload};
   std::vector<Outgoing> out;
   follower.step(&in, d, out);
   return out;
@@ -263,6 +263,97 @@ TEST(Anuc, SaveStateRestoresAtProcessCap) {
   ByteWriter again;
   ASSERT_TRUE(restored.save_state(again));
   EXPECT_EQ(again.take(), saved);
+}
+
+// Rounds travel as 64-bit varints but A_nuc counts them in `int`. A round
+// that does not fit is malformed; cut to `int`, 2^32 + 1 read as round 1.
+constexpr std::uint64_t kPastInt = (std::uint64_t{1} << 32) + 1;
+
+/// Leader 0 and quorum {0, 1}, for two processes.
+FdValue leader0_quorum01() {
+  FdValue d = FdValue::of_leader(0);
+  d.set_quorum(ProcessSet{0, 1});
+  return d;
+}
+
+/// Steps `a` on `payload` from `from`, sealed as the executors deliver
+/// it; returns a's sends.
+std::vector<Outgoing> receive(Anuc& a, Pid from, const Bytes& payload) {
+  const SharedBytes sealed(payload);
+  const Incoming in{from, sealed.get(), &sealed};
+  std::vector<Outgoing> out;
+  a.step(&in, leader0_quorum01(), out);
+  return out;
+}
+
+/// `encoded` with its round-1 varint at `at` replaced by `round`.
+Bytes with_round(const Bytes& encoded, std::size_t at, std::uint64_t round) {
+  EXPECT_EQ(encoded.at(at), 0x01);  // round 1 is one varint byte
+  ByteWriter w;
+  w.raw(ByteView(encoded).first(at));
+  w.uvarint(round);
+  w.raw(ByteView(encoded).subspan(at + 1));
+  return w.take();
+}
+
+TEST(Anuc, ReportForARoundPastIntIsDropped) {
+  // p0 is in round 1 with quorum {0, 1} and holds its own REP.
+  Anuc p0(0, 7, 2);
+  std::vector<Outgoing> lead;
+  p0.step(nullptr, leader0_quorum01(), lead);
+  const std::vector<Outgoing> rep = receive(p0, 0, lead[0].payload.get());
+  ASSERT_EQ(rep.size(), 2u);
+  ASSERT_TRUE(receive(p0, 0, rep[0].payload.get()).empty());
+
+  const Bytes& genuine = rep[1].payload.get();  // REP, round 1, value 7
+  EXPECT_TRUE(receive(p0, 1, with_round(genuine, 1, kPastInt)).empty());
+  // The genuine report completes the quorum: PROP to all.
+  EXPECT_EQ(receive(p0, 1, genuine).size(), 2u);
+}
+
+TEST(Anuc, LeadForARoundPastIntIsDropped) {
+  Anuc leader(0, 7, 2);
+  std::vector<Outgoing> lead;
+  leader.step(nullptr, leader0_quorum01(), lead);
+  const Bytes& genuine = lead[1].payload.get();
+
+  // The follower's first step sends its own LEAD to all, and a REP only
+  // if it took the leader's.
+  Anuc follower(1, 3, 2);
+  EXPECT_EQ(receive(follower, 0, with_round(genuine, 1, kPastInt)).size(), 2u);
+  EXPECT_EQ(receive(follower, 0, genuine).size(), 2u);  // the REP
+}
+
+TEST(Anuc, AckForARoundPastIntIsDropped) {
+  Anuc p0(0, 7, 2);
+  std::vector<Outgoing> lead;
+  p0.step(nullptr, leader0_quorum01(), lead);
+  ByteWriter before;
+  ASSERT_TRUE(p0.save_state(before));
+
+  // Cut to int, round 2^32 + 5 would count as 5 and lower seen[{0, 1}].
+  ByteWriter ack;
+  ack.u8(5);  // ACK
+  ack.process_set(ProcessSet{0, 1}, 2);
+  ack.uvarint(kPastInt + 4);
+  EXPECT_TRUE(receive(p0, 1, ack.take()).empty());
+  ByteWriter after;
+  ASSERT_TRUE(p0.save_state(after));
+  EXPECT_EQ(after.take(), before.take());
+}
+
+TEST(Anuc, RestoreRefusesARoundPastInt) {
+  Anuc p0(0, 7, 2);
+  std::vector<Outgoing> lead;
+  p0.step(nullptr, leader0_quorum01(), lead);
+  ByteWriter w;
+  ASSERT_TRUE(p0.save_state(w));
+  const Bytes saved = w.take();  // x = 7 is one varint byte, then round 1
+
+  Anuc restored(0, 0, 2);
+  EXPECT_FALSE(restored.restore(with_round(saved, 1, kPastInt)));
+  ASSERT_TRUE(restored.restore(saved));
+  EXPECT_EQ(restored.round(), 1);
 }
 
 }  // namespace

@@ -135,7 +135,7 @@ TEST(DagBuilder, MalformedGossipIsIgnored) {
   AdagAutomaton a(0, 3);
   std::vector<Outgoing> out;
   const Bytes junk = {0xde, 0xad};
-  const Incoming in{1, &junk};
+  const Incoming in{1, junk};
   a.step(&in, FdValue::of_quorum(ProcessSet{0}), out);
   EXPECT_EQ(a.core().dag().total_nodes(), 1u);  // only the own sample
 }

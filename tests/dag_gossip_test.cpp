@@ -181,11 +181,10 @@ class GossipChecker final : public ConsensusAutomaton {
   void step(const Incoming* in, const FdValue& d,
             std::vector<Outgoing>& out) override {
     std::optional<SampleDag> expected;
-    if (in != nullptr && is_gossip(*in->payload)) {
-      const Bytes delta = framed_ ? Bytes(in->payload->begin() + 1,
-                                          in->payload->end())
-                                  : *in->payload;
-      const auto sent = ledger_.in_flight.find(in->payload);
+    if (in != nullptr && is_gossip(in->payload)) {
+      const Bytes delta(in->payload.begin() + (framed_ ? 1 : 0),
+                        in->payload.end());
+      const auto sent = ledger_.in_flight.find(in->shared->raw());
       EXPECT_NE(sent, ledger_.in_flight.end()) << "unfiled gossip payload";
       if (sent != ledger_.in_flight.end()) {
         SampleDag via_delta = core_.dag();
@@ -239,7 +238,7 @@ class GossipChecker final : public ConsensusAutomaton {
   }
 
  private:
-  [[nodiscard]] bool is_gossip(const Bytes& payload) const {
+  [[nodiscard]] bool is_gossip(ByteView payload) const {
     return !framed_ || (!payload.empty() && payload.front() == 0);
   }
 
@@ -421,7 +420,7 @@ struct DeltaPair {
 
   static void deliver(DagCore& to, Pid from, const Bytes& payload,
                       const FdValue& d) {
-    const Incoming in{from, &payload};
+    const Incoming in{from, payload};
     to.on_step(&in, d);
   }
 

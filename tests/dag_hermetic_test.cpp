@@ -46,7 +46,10 @@ class Recorder final : public Automaton {
             std::vector<Outgoing>& out) override {
     if (trace_ != nullptr) {
       Input input{std::nullopt, d};
-      if (in != nullptr) input.msg.emplace(in->from, *in->payload);
+      if (in != nullptr) {
+        input.msg.emplace(in->from,
+                          Bytes(in->payload.begin(), in->payload.end()));
+      }
       trace_->inputs.push_back(std::move(input));
     }
     inner_->step(in, d, out);
@@ -91,7 +94,7 @@ struct Observed {
 Observed step_observed(Automaton& a, const Input& input,
                        const TransformOf& transform_of) {
   const Incoming in{input.msg ? input.msg->first : -1,
-                    input.msg ? &input.msg->second : nullptr};
+                    input.msg ? ByteView(input.msg->second) : ByteView()};
   std::vector<Outgoing> out;
   a.step(input.msg ? &in : nullptr, input.d, out);
   Observed o;

@@ -146,7 +146,8 @@ TEST_P(KeptWalkGrowth, EqualsTheLinearWalkAsTheDagGrows) {
       msg = pending[i];
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    const Incoming in{msg ? msg->from : -1, msg ? &msg->payload.get() : nullptr};
+    const Incoming in{msg ? msg->from : -1,
+                      msg ? ByteView(msg->payload.get()) : ByteView()};
     core.on_step(msg ? &in : nullptr,
                  FdValue::of_quorum(ProcessSet::single(p)));
     if (rng.below(4) == 0) {

@@ -54,7 +54,7 @@ TEST(HeartbeatFd, MistakeUnsuspectsAndWidensTheTimeout) {
   ASSERT_EQ(hb.timeout_of(1), 8);
 
   const Bytes heartbeat;  // empty payload: the sender id is the message
-  const Incoming in{1, &heartbeat};
+  const Incoming in{1, heartbeat};
   hb.step(&in, FdValue{}, out);
   EXPECT_TRUE(hb.suspected().empty());
   EXPECT_EQ(hb.mistakes(), 1);

@@ -49,7 +49,7 @@ void fuzz(Automaton& a, std::uint64_t seed, int rounds = 600) {
     out.clear();
     if (mut.rng().chance(3, 4)) {
       const Bytes payload = mut.random_payload(kMaxPayload);
-      const Incoming in{static_cast<Pid>(mut.rng().below(kN)), &payload};
+      const Incoming in{static_cast<Pid>(mut.rng().below(kN)), payload};
       a.step(&in, d, out);
     } else {
       a.step(nullptr, d, out);
@@ -106,7 +106,7 @@ TEST(Fuzz, EmptyAndTinyPayloads) {
     const Bytes one = {0x00};
     const Bytes ff = {0xFF};
     for (const Bytes* payload : {&empty, &one, &ff}) {
-      const Incoming in{2, payload};
+      const Incoming in{2, *payload};
       ASSERT_NO_THROW(automaton->step(&in, d, out)) << name;
     }
   }
@@ -138,7 +138,7 @@ TEST(Fuzz, PayloadLengthBoundaries) {
                                   std::size_t{41}, std::size_t{128}}) {
       Bytes payload(len);
       for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-      const Incoming in{2, &payload};
+      const Incoming in{2, payload};
       ASSERT_NO_THROW(automaton->step(&in, d, out)) << name << " len=" << len;
     }
   }
@@ -179,7 +179,7 @@ TEST(Fuzz, ReframedCrossTalkIsTolerated) {
       for (const Outgoing& o : reframed) {
         const Bytes& payload = o.payload.get();
         ASSERT_EQ(payload.front(), channel);  // framing really happened
-        const Incoming in{0, &payload};
+        const Incoming in{0, payload};
         ASSERT_NO_THROW(a->step(&in, d, out)) << name;
       }
     }
@@ -206,7 +206,7 @@ TEST(Fuzz, CrossProtocolTrafficIsTolerated) {
     const auto a = factory(1);
     std::vector<Outgoing> out;
     for (const Bytes& payload : harvested) {
-      const Incoming in{0, &payload};
+      const Incoming in{0, payload};
       ASSERT_NO_THROW(a->step(&in, d, out)) << name;
     }
   }

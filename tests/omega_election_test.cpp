@@ -136,7 +136,7 @@ TEST(FromScratch, UnknownChannelBytesAreDropped) {
   FromScratchConsensus a(0, 1, 5, 2);
   std::vector<Outgoing> out;
   const Bytes junk = {0x09, 1, 2};
-  const Incoming in{1, &junk};
+  const Incoming in{1, junk};
   a.step(&in, FdValue{}, out);
   EXPECT_FALSE(a.decision());
 }

@@ -124,7 +124,7 @@ TEST(StackedNuc, GarbledChannelByteIsDropped) {
   StackedNuc a(0, 1, 3);
   std::vector<Outgoing> out;
   const Bytes junk = {0x7F, 1, 2, 3};  // unknown channel
-  const Incoming in{1, &junk};
+  const Incoming in{1, junk};
   FdValue d = FdValue::of_leader(0);
   d.set_quorum(ProcessSet{0, 1, 2});
   a.step(&in, d, out);  // must not crash; both components saw lambda

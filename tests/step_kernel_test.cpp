@@ -15,6 +15,7 @@ class Probe final : public Automaton {
     bool lambda = true;
     Pid from = -1;
     Bytes payload;
+    const std::uint8_t* data = nullptr;  // where the payload view starts
     const SharedBytes* shared = nullptr;
   };
 
@@ -24,7 +25,8 @@ class Probe final : public Automaton {
     if (in != nullptr) {
       s.lambda = false;
       s.from = in->from;
-      s.payload = *in->payload;
+      s.payload.assign(in->payload.begin(), in->payload.end());
+      s.data = in->payload.data();
       s.shared = in->shared;
     }
     seen.push_back(std::move(s));
@@ -91,9 +93,8 @@ TEST(StepKernel, NoMessageIsLambda) {
 /// One step of a two-component composition on channels 0 and 1.
 void mux_step(ChannelMux& mux, const Incoming* in, Probe& c0, Probe& c1,
               std::vector<Outgoing>& out) {
-  mux.receive(in);
-  mux.step(c0, 0, FdValue{}, out);
-  mux.step(c1, 1, FdValue{}, out);
+  mux.step(in, c0, 0, FdValue{}, out);
+  mux.step(in, c1, 1, FdValue{}, out);
 }
 
 TEST(ChannelMux, RoutesAMessageOnlyToItsChannel) {
@@ -102,7 +103,7 @@ TEST(ChannelMux, RoutesAMessageOnlyToItsChannel) {
   Probe c1;
   std::vector<Outgoing> out;
   const Bytes wire = {1, 7, 8};
-  const Incoming in{2, &wire};
+  const Incoming in{2, wire};
   mux_step(mux, &in, c0, c1, out);
   mux_step(mux, nullptr, c0, c1, out);  // must not replay the message
   ASSERT_EQ(c0.seen.size(), 2u);
@@ -115,13 +116,29 @@ TEST(ChannelMux, RoutesAMessageOnlyToItsChannel) {
   EXPECT_TRUE(c1.seen[1].lambda);
 }
 
+TEST(ChannelMux, HandsTheComponentAViewOfTheDeliveredBuffer) {
+  ChannelMux mux;
+  Probe c0;
+  Probe c1;
+  std::vector<Outgoing> out;
+  const SharedBytes wire(Bytes{1, 7, 8});
+  const Incoming in{2, wire.get(), &wire};
+  mux_step(mux, &in, c0, c1, out);
+  ASSERT_EQ(c1.seen.size(), 1u);
+  EXPECT_EQ(c1.seen[0].payload, (Bytes{7, 8}));
+  // No copy: the view starts at the buffer's byte 1, and the component
+  // gets the buffer itself, so it shares the buffer's decode.
+  EXPECT_EQ(c1.seen[0].data, wire.get().data() + 1);
+  EXPECT_EQ(c1.seen[0].shared, &wire);
+}
+
 TEST(ChannelMux, EmptyPayloadOrUnknownChannelIsLambdaForAll) {
   for (const Bytes& wire : {Bytes{}, Bytes{0x7F, 1, 2}, Bytes{2}}) {
     ChannelMux mux;
     Probe c0;
     Probe c1;
     std::vector<Outgoing> out;
-    const Incoming in{1, &wire};
+    const Incoming in{1, wire};
     mux_step(mux, &in, c0, c1, out);
     for (const Probe* c : {&c0, &c1}) {
       ASSERT_EQ(c->seen.size(), 1u);
