@@ -11,8 +11,9 @@
 #
 # (check-debug is the one run without NDEBUG, so the assert-only checks
 # execute there: QuorumHistory's cache against the quadratic recompute,
-# the scheduler's FIFO-order and shard-sum checks, MessageBuffer's
-# send-order check.)
+# DagCore's kept fair-chain walk against a fresh walk on every call, the
+# scheduler's FIFO-order and shard-sum checks, MessageBuffer's
+# send-order check, the decode slot's same-byte-range check.)
 #
 # (the mc label covers the model checker's parallel-frontier determinism
 # suite, fuzz covers the schedule fuzzer's engine/minimizer/corpus

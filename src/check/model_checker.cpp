@@ -8,6 +8,8 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -1114,8 +1116,9 @@ McResult model_check_consensus(const McOptions& opts) {
     use_por = false;
   }
 
-  // Build and encode the initial configuration. Automata without the
-  // complete-state contract fall back to the frozen replay engine.
+  // Build and encode the initial configuration. Every automaton must keep
+  // the complete-state contract: the engine's dedup is sound only over
+  // complete states.
   Config root;
   Decided decided;
   std::string root_violation;
@@ -1123,8 +1126,10 @@ McResult model_check_consensus(const McOptions& opts) {
   for (Pid p = 0; p < opts.n; ++p) {
     const auto a = opts.make(p, opts.proposals[static_cast<std::size_t>(p)]);
     ByteWriter w;
-    if (!a->save_state(w) || a->clone() == nullptr) {
-      return model_check_consensus_replay_baseline(opts);
+    if (!a->save_state(w)) {
+      throw std::invalid_argument("model_check_consensus: process " +
+                                  std::to_string(p) +
+                                  "'s automaton has no save_state");
     }
     auto section = std::make_shared<Section>();
     section->bytes = w.take();

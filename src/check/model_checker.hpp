@@ -40,9 +40,11 @@
 //    (replay_witness below re-executes it);
 //  * "no violation" is relative to the depth/state budget, the fixed
 //    detector history, and the automata's save_state being a COMPLETE
-//    state encoding (true for every checkable automaton in this library;
-//    automata without save_state support fall back to the replay-based
-//    baseline engine, whose dedup is best-effort over snapshot());
+//    state encoding (true for every checkable automaton in this library).
+//    An automaton without save_state is refused with
+//    std::invalid_argument rather than searched with a weaker dedup: a
+//    key that misses part of the state can prune configurations that
+//    differ, and an "exhausted" verdict over it certifies nothing;
 //  * the fd function is called from worker threads and must be pure.
 //
 // The flagship use (see model_checker_test.cpp): the checker
@@ -130,12 +132,15 @@ struct McResult {
   friend bool operator==(const McResult&, const McResult&) = default;
 };
 
+/// Throws std::invalid_argument when some process's automaton has no
+/// save_state (see the soundness notes above).
 [[nodiscard]] McResult model_check_consensus(const McOptions& opts);
 
 /// The pre-overhaul engine, frozen as a baseline: single-threaded DFS that
 /// re-materializes every configuration by replaying the whole path and
-/// dedups on a 64-bit hash of snapshot(). Kept for the bench_model
-/// speedup comparison and for cross-validating verdicts; `threads`,
+/// dedups on a 64-bit hash of snapshot(), so its verdict is only as
+/// complete as snapshot() is. Kept for the bench_model speedup comparison
+/// and for cross-validating verdicts; `threads`,
 /// `pool`, and `use_por` are ignored, and witness deliveries index the
 /// FIFO buffer order rather than the canonical order.
 [[nodiscard]] McResult model_check_consensus_replay_baseline(

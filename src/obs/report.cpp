@@ -1,52 +1,16 @@
 #include "obs/report.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+#include <initializer_list>
 #include <sstream>
+
+#include "util/minijson.hpp"
 
 namespace nucon::obs {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Shortest round-tripping decimal rendering; deterministic for the
-/// serially folded doubles the report carries.
-std::string double_json(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest representation that still round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
-  }
-  return buf;
-}
+using util::double_json;
+using util::json_escape;
 
 std::string metrics_json(const trace::MetricsRegistry& metrics) {
   std::ostringstream os;
@@ -359,230 +323,73 @@ bool write_report_json(const BenchReport& report, const std::string& path) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Validation: a minimal JSON parser (syntax only, no number semantics
-// beyond strtod) plus structural checks against the schema above.
-
 namespace {
 
-struct JsonCursor {
-  const char* s;
-  const char* end;
-  std::string error;
-
-  void skip_ws() {
-    while (s < end && (*s == ' ' || *s == '\t' || *s == '\n' || *s == '\r')) {
-      ++s;
+/// The first problem with one section of a report array: not an object,
+/// or a required member absent.
+std::optional<std::string> check_section(
+    const char* what, std::size_t i, const util::JsonValue& section,
+    std::initializer_list<const char*> required) {
+  const std::string label = std::string(what) + " section " + std::to_string(i);
+  if (!section.is_object()) return label + " is not an object";
+  for (const char* key : required) {
+    if (section.find(key) == nullptr) {
+      return label + " missing \"" + key + "\"";
     }
   }
-  bool fail(const std::string& msg) {
-    if (error.empty()) error = msg;
-    return false;
-  }
-};
-
-bool skip_value(JsonCursor& c);
-
-bool skip_string(JsonCursor& c) {
-  if (c.s >= c.end || *c.s != '"') return c.fail("expected string");
-  ++c.s;
-  while (c.s < c.end && *c.s != '"') {
-    if (*c.s == '\\') {
-      ++c.s;
-      if (c.s >= c.end) break;
-    }
-    ++c.s;
-  }
-  if (c.s >= c.end) return c.fail("unterminated string");
-  ++c.s;
-  return true;
-}
-
-bool skip_object(JsonCursor& c) {
-  ++c.s;  // '{'
-  c.skip_ws();
-  if (c.s < c.end && *c.s == '}') {
-    ++c.s;
-    return true;
-  }
-  while (true) {
-    c.skip_ws();
-    if (!skip_string(c)) return false;
-    c.skip_ws();
-    if (c.s >= c.end || *c.s != ':') return c.fail("expected ':' in object");
-    ++c.s;
-    if (!skip_value(c)) return false;
-    c.skip_ws();
-    if (c.s < c.end && *c.s == ',') {
-      ++c.s;
-      continue;
-    }
-    if (c.s < c.end && *c.s == '}') {
-      ++c.s;
-      return true;
-    }
-    return c.fail("expected ',' or '}' in object");
-  }
-}
-
-bool skip_array(JsonCursor& c) {
-  ++c.s;  // '['
-  c.skip_ws();
-  if (c.s < c.end && *c.s == ']') {
-    ++c.s;
-    return true;
-  }
-  while (true) {
-    if (!skip_value(c)) return false;
-    c.skip_ws();
-    if (c.s < c.end && *c.s == ',') {
-      ++c.s;
-      continue;
-    }
-    if (c.s < c.end && *c.s == ']') {
-      ++c.s;
-      return true;
-    }
-    return c.fail("expected ',' or ']' in array");
-  }
-}
-
-bool skip_value(JsonCursor& c) {
-  c.skip_ws();
-  if (c.s >= c.end) return c.fail("unexpected end of document");
-  switch (*c.s) {
-    case '{':
-      return skip_object(c);
-    case '[':
-      return skip_array(c);
-    case '"':
-      return skip_string(c);
-    case 't':
-      if (c.end - c.s >= 4 && std::string(c.s, 4) == "true") {
-        c.s += 4;
-        return true;
-      }
-      return c.fail("bad literal");
-    case 'f':
-      if (c.end - c.s >= 5 && std::string(c.s, 5) == "false") {
-        c.s += 5;
-        return true;
-      }
-      return c.fail("bad literal");
-    case 'n':
-      if (c.end - c.s >= 4 && std::string(c.s, 4) == "null") {
-        c.s += 4;
-        return true;
-      }
-      return c.fail("bad literal");
-    default: {
-      char* num_end = nullptr;
-      std::strtod(c.s, &num_end);
-      if (num_end == c.s) return c.fail("unexpected character");
-      c.s = num_end;
-      return true;
-    }
-  }
-}
-
-/// The raw text of a top-level field `"name":` in `json` (object values:
-/// the `{...}`/`[...]` span; scalars: the token). Top-level only — does
-/// not recurse into nested objects looking for the key.
-std::optional<std::string> top_level_field(const std::string& json,
-                                           const std::string& name) {
-  JsonCursor c{json.data(), json.data() + json.size(), {}};
-  c.skip_ws();
-  if (c.s >= c.end || *c.s != '{') return std::nullopt;
-  ++c.s;
-  while (true) {
-    c.skip_ws();
-    if (c.s < c.end && *c.s == '}') return std::nullopt;
-    const char* key_begin = c.s;
-    if (!skip_string(c)) return std::nullopt;
-    const std::string key(key_begin + 1, c.s - 1);
-    c.skip_ws();
-    if (c.s >= c.end || *c.s != ':') return std::nullopt;
-    ++c.s;
-    c.skip_ws();
-    const char* value_begin = c.s;
-    if (!skip_value(c)) return std::nullopt;
-    if (key == name) return std::string(value_begin, c.s);
-    c.skip_ws();
-    if (c.s < c.end && *c.s == ',') {
-      ++c.s;
-      continue;
-    }
-    return std::nullopt;
-  }
+  return std::nullopt;
 }
 
 }  // namespace
 
 std::optional<std::string> validate_report_json(const std::string& json) {
-  // 1. The document must be syntactically valid JSON with one value.
-  JsonCursor c{json.data(), json.data() + json.size(), {}};
-  if (!skip_value(c)) return "not valid JSON: " + c.error;
-  c.skip_ws();
-  if (c.s != c.end) return "trailing bytes after the JSON document";
+  util::JsonParseError error;
+  const auto doc = util::parse_json(json, &error);
+  if (!doc) return "not valid JSON: " + error.to_string();
 
-  // 2. Top-level shape: an object with the versioned header. v1 (the
+  // Top-level shape: an object with the versioned header. v1 (the
   // pre-profiling schema) stays readable: the bench/history ledger and
   // archived BENCH_*.json documents predate the "profiles" section.
-  const auto v = top_level_field(json, "v");
-  if (!v) return "missing schema version field \"v\"";
-  if (*v != std::to_string(kReportSchemaVersion) && *v != "1") {
-    return "unsupported report schema version " + *v;
+  const util::JsonValue* v = doc->find("v");
+  if (v == nullptr) return "missing schema version field \"v\"";
+  const auto version = v->int64();
+  if (version != kReportSchemaVersion && version != 1) {
+    return "unsupported report schema version " + v->string;
   }
-  const auto name = top_level_field(json, "name");
-  if (!name || name->empty() || (*name)[0] != '"') {
+  const util::JsonValue* name = doc->find("name");
+  if (name == nullptr || !name->is_string()) {
     return "missing or non-string \"name\"";
   }
-  const auto tables = top_level_field(json, "tables");
-  if (!tables || (*tables)[0] != '[') return "missing or non-array \"tables\"";
-  const auto sweeps = top_level_field(json, "sweeps");
-  if (!sweeps || (*sweeps)[0] != '[') return "missing or non-array \"sweeps\"";
-
-  // 3. Every sweep section must carry the verdict counters and metrics.
-  // Cheap but effective: scan the sweeps array for the required keys per
-  // object (each section object is emitted with all keys).
-  std::size_t pos = 0;
-  std::size_t section = 0;
-  while ((pos = sweeps->find("{\"name\":", pos)) != std::string::npos) {
-    std::size_t next = sweeps->find("{\"name\":", pos + 1);
-    if (next == std::string::npos) next = sweeps->size();
-    const std::string slice = sweeps->substr(pos, next - pos);
-    for (const char* key :
-         {"\"spec\":", "\"runs\":", "\"undecided\":",
-          "\"termination_failures\":", "\"uniform_violations\":",
-          "\"nonuniform_violations\":", "\"expectation_failures\":",
-          "\"counters\":", "\"histograms\":", "\"failures\":"}) {
-      if (slice.find(key) == std::string::npos) {
-        return "sweep section " + std::to_string(section) + " missing " + key;
-      }
-    }
-    ++section;
-    pos = next;
+  const util::JsonValue* tables = doc->find("tables");
+  if (tables == nullptr || !tables->is_array()) {
+    return "missing or non-array \"tables\"";
+  }
+  const util::JsonValue* sweeps = doc->find("sweeps");
+  if (sweeps == nullptr || !sweeps->is_array()) {
+    return "missing or non-array \"sweeps\"";
   }
 
-  // 4. When the v2 "profiles" section is present it must be an array of
-  // sections that each carry the phase-breakdown keys.
-  if (const auto profiles = top_level_field(json, "profiles")) {
-    if ((*profiles)[0] != '[') return "non-array \"profiles\"";
-    std::size_t ppos = 0;
-    std::size_t psection = 0;
-    while ((ppos = profiles->find("{\"name\":", ppos)) != std::string::npos) {
-      std::size_t next = profiles->find("{\"name\":", ppos + 1);
-      if (next == std::string::npos) next = profiles->size();
-      const std::string slice = profiles->substr(ppos, next - ppos);
-      for (const char* key : {"\"steps\":", "\"step_seconds\":",
-                              "\"covered_fraction\":", "\"phases\":"}) {
-        if (slice.find(key) == std::string::npos) {
-          return "profile section " + std::to_string(psection) + " missing " +
-                 key;
-        }
+  // Every sweep section must carry the verdict counters and metrics.
+  for (std::size_t i = 0; i < sweeps->array.size(); ++i) {
+    if (auto problem = check_section(
+            "sweep", i, sweeps->array[i],
+            {"spec", "runs", "undecided", "termination_failures",
+             "uniform_violations", "nonuniform_violations",
+             "expectation_failures", "counters", "histograms", "failures"})) {
+      return problem;
+    }
+  }
+
+  // The v2 "profiles" section, when present, must be an array of
+  // sections that each carry the phase-breakdown members.
+  if (const util::JsonValue* profiles = doc->find("profiles")) {
+    if (!profiles->is_array()) return "non-array \"profiles\"";
+    for (std::size_t i = 0; i < profiles->array.size(); ++i) {
+      if (auto problem = check_section(
+              "profile", i, profiles->array[i],
+              {"steps", "step_seconds", "covered_fraction", "phases"})) {
+        return problem;
       }
-      ++psection;
-      ppos = next;
     }
   }
   return std::nullopt;

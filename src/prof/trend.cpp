@@ -10,46 +10,9 @@
 namespace nucon::prof {
 namespace {
 
+using util::double_json;
+using util::json_escape;
 using util::JsonValue;
-
-/// Shortest round-tripping decimal rendering (report.cpp's discipline).
-std::string double_json(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 bool contains(const std::string& s, const char* needle) {
   return s.find(needle) != std::string::npos;

@@ -1,67 +1,79 @@
 #include "trace/trace_reader.hpp"
 
-#include <cstdlib>
+#include "trace/trace_recorder.hpp"
+#include "util/minijson.hpp"
 
 namespace nucon::trace {
 namespace {
 
-/// Value of an integer field `"name":123`, or nullopt.
-std::optional<std::int64_t> int_field(const std::string& line,
-                                      const std::string& name) {
-  const std::string key = "\"" + name + "\":";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
-  return std::strtoll(line.c_str() + pos + key.size(), nullptr, 10);
-}
+using util::JsonValue;
 
-/// Value of a string field `"name":"..."` (no unescaping beyond \" — the
-/// recorder only escapes quotes, backslashes and control characters, none
-/// of which occur in artifact strings).
-std::optional<std::string> string_field(const std::string& line,
-                                        const std::string& name) {
-  const std::string key = "\"" + name + "\":\"";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = pos + key.size(); i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      out += line[++i];
-    } else if (line[i] == '"') {
-      return out;
-    } else {
-      out += line[i];
+/// Typed reads off one parsed line. The first problem found is kept in
+/// `error`; reads after it return their fallbacks, so the caller checks
+/// `error` once per line.
+struct Fields {
+  const JsonValue& line;
+  Pid n;  // process ids must lie in [0, n)
+  std::string error;
+
+  void fail(const std::string& name, const char* problem) {
+    if (error.empty()) error = "\"" + name + "\" " + problem;
+  }
+
+  std::optional<std::int64_t> int64(const JsonValue* v, const char* name) {
+    if (v == nullptr) return std::nullopt;
+    const auto x = v->int64();
+    if (!x) fail(name, "is not an int64");
+    return x;
+  }
+
+  Pid id(const JsonValue* v, const std::string& name) {
+    if (v == nullptr) return -1;
+    const auto x = v->int64();
+    if (!x || *x < 0 || *x >= n) {
+      fail(name, "is not a process id in [0, n)");
+      return -1;
     }
+    return static_cast<Pid>(*x);
   }
-  return std::nullopt;  // unterminated
-}
 
-/// Members of an integer-array field `"name":[1,2,3]`.
-std::optional<ProcessSet> set_field(const std::string& line,
-                                    const std::string& name) {
-  const std::string key = "\"" + name + "\":[";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
-  ProcessSet out;
-  const char* s = line.c_str() + pos + key.size();
-  while (*s != ']' && *s != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s) return std::nullopt;
-    out.insert(static_cast<Pid>(v));
-    s = *end == ',' ? end + 1 : end;
+  ProcessSet ids(const JsonValue* v, const std::string& name) {
+    ProcessSet out;
+    if (!v->is_array()) {
+      fail(name, "is not an array of process ids");
+      return out;
+    }
+    for (const JsonValue& member : v->array) {
+      const Pid p = id(&member, name);
+      if (p >= 0) out.insert(p);
+    }
+    return out;
   }
-  return *s == ']' ? std::optional<ProcessSet>(out) : std::nullopt;
-}
 
-/// The raw JSON fragment of an object-valued field `"name":{...}`.
-std::optional<std::string> object_field(const std::string& line,
-                                        const std::string& name) {
-  const std::string key = "\"" + name + "\":{";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
-  const auto end = line.find('}', pos);
-  if (end == std::string::npos) return std::nullopt;
-  return line.substr(pos + key.size() - 1, end - (pos + key.size() - 1) + 1);
+  /// The oracle value, rendered back exactly as the recorder writes it.
+  std::string fd() {
+    const JsonValue* v = line.find("fd");
+    if (v == nullptr) return "";
+    if (!v->is_object()) {
+      fail("fd", "is not an object");
+      return "";
+    }
+    FdValue d;
+    if (const JsonValue* leader = v->find("leader")) {
+      d.set_leader(id(leader, "fd.leader"));
+    }
+    if (const JsonValue* quorum = v->find("quorum")) {
+      d.set_quorum(ids(quorum, "fd.quorum"));
+    }
+    if (const JsonValue* suspects = v->find("suspects")) {
+      d.set_suspects(ids(suspects, "fd.suspects"));
+    }
+    return fd_json(d);
+  }
+};
+
+std::string excerpt(const std::string& line) {
+  return line.size() > 60 ? line.substr(0, 60) + "..." : line;
 }
 
 }  // namespace
@@ -86,56 +98,79 @@ std::optional<ParsedTrace> parse_trace(const std::string& jsonl,
     ++line_no;
     if (line.empty()) continue;
 
-    const auto kind = string_field(line, "k");
-    if (!kind) {
-      return fail(line_no, "no \"k\" (event kind) field: " +
-                               (line.size() > 60 ? line.substr(0, 60) + "..."
-                                                 : line));
+    util::JsonParseError json_error;
+    const auto obj = util::parse_json(line, &json_error);
+    if (!obj) {
+      return fail(line_no, "invalid JSON (" + json_error.message +
+                               "): " + excerpt(line));
     }
+    const JsonValue* kind = obj->find("k");
+    if (kind == nullptr || !kind->is_string()) {
+      return fail(line_no, "no \"k\" (event kind) field: " + excerpt(line));
+    }
+    Fields f{*obj, trace.n, {}};
 
-    if (*kind == "meta") {
+    if (kind->string == "meta") {
+      if (saw_meta) return fail(line_no, "a second meta line");
       // Version gate first: a future schema may change every field below,
       // so nothing else on the line is trusted before the check. A meta
       // line without "v" is a pre-versioning (PR 2) trace and reads as
       // version 1, which is exactly the schema it carries.
-      const std::int64_t v =
-          int_field(line, "v").value_or(kTraceSchemaVersion);
-      if (v != kTraceSchemaVersion) {
-        return fail(line_no, "unsupported trace schema version " +
-                                 std::to_string(v) + " (this reader supports " +
+      const JsonValue* v = obj->find("v");
+      if (v != nullptr && v->int64() != kTraceSchemaVersion) {
+        return fail(line_no, "unsupported trace schema version " + v->string +
+                                 " (this reader supports " +
                                  std::to_string(kTraceSchemaVersion) + ")");
       }
-      trace.version = v;
-      const auto n = int_field(line, "n");
-      const auto correct = set_field(line, "correct");
-      if (!n || !correct) {
+      const auto n = obj->find("n");
+      const auto correct = obj->find("correct");
+      if (n == nullptr || correct == nullptr) {
         return fail(line_no, "meta line missing \"n\" or \"correct\"");
       }
-      trace.n = static_cast<Pid>(*n);
-      trace.correct = *correct;
-      trace.artifact = string_field(line, "artifact").value_or("");
-      trace.expect = string_field(line, "expect").value_or("");
+      const auto n_value = n->int64();
+      if (!n_value || *n_value < 1 || *n_value > kMaxProcesses) {
+        return fail(line_no, "\"n\" is not in [1, " +
+                                 std::to_string(kMaxProcesses) + "]");
+      }
+      trace.n = f.n = static_cast<Pid>(*n_value);
+      trace.correct = f.ids(correct, "correct");
+      trace.artifact = obj->string_at("artifact").value_or("");
+      trace.expect = obj->string_at("expect").value_or("");
+      if (!f.error.empty()) return fail(line_no, f.error);
       saw_meta = true;
       continue;
     }
+    if (!saw_meta) return fail(line_no, "event before the meta line");
 
+    // The recorder nests a step's sender and seq in "recv"; handmade
+    // traces put them on the line itself.
+    const JsonValue* recv = obj->find("recv");
+    const auto sent = [&](const char* name) {
+      const JsonValue* v = obj->find(name);
+      return v != nullptr || recv == nullptr ? v : recv->find(name);
+    };
     ParsedEvent ev;
-    ev.kind = *kind;
-    ev.raw = line;
-    ev.t = int_field(line, "t").value_or(-1);
-    ev.p = static_cast<Pid>(int_field(line, "p").value_or(-1));
-    if (const auto to = int_field(line, "to")) ev.peer = static_cast<Pid>(*to);
-    if (const auto from = int_field(line, "from")) {
-      ev.peer = static_cast<Pid>(*from);
+    ev.kind = kind->string;
+    ev.t = f.int64(obj->find("t"), "t").value_or(-1);
+    ev.p = f.id(obj->find("p"), "p");
+    ev.peer = f.id(obj->find("to"), "to");
+    if (const JsonValue* from = sent("from")) ev.peer = f.id(from, "from");
+    ev.seq = f.int64(sent("seq"), "seq").value_or(-1);
+    ev.bytes = f.int64(obj->find("bytes"), "bytes").value_or(-1);
+    ev.delay = f.int64(obj->find("delay"), "delay").value_or(-1);
+    if (const JsonValue* forced = obj->find("forced")) {
+      if (!forced->is_bool()) f.fail("forced", "is not a bool");
+      ev.forced = forced->boolean;
     }
-    ev.seq = int_field(line, "seq").value_or(-1);
-    ev.bytes = int_field(line, "bytes").value_or(-1);
-    ev.delay = int_field(line, "delay").value_or(-1);
-    ev.forced = line.find("\"forced\":true") != std::string::npos;
-    if (const auto v = int_field(line, "value")) ev.value = *v;
-    ev.state_hash =
-        static_cast<std::uint64_t>(int_field(line, "hash").value_or(0));
-    ev.fd = object_field(line, "fd").value_or("");
+    ev.value = f.int64(obj->find("value"), "value");
+    if (const JsonValue* hash = obj->find("hash")) {
+      const auto h = hash->uint64();
+      if (!h) f.fail("hash", "is not a uint64");
+      ev.state_hash = h.value_or(0);
+    }
+    ev.fd = f.fd();
+    if (!f.error.empty()) return fail(line_no, f.error);
+    ev.raw = line;
     trace.events.push_back(std::move(ev));
   }
 

@@ -8,8 +8,10 @@
 // subject of the paper. tools/trace_dump renders what this header
 // computes.
 //
-// The parser handles exactly the schema the recorder emits (documented in
-// EXPERIMENTS.md); it is not a general JSON parser.
+// Each line is parsed with util/minijson, then read against the schema
+// the recorder emits (documented in EXPERIMENTS.md): every field has its
+// type checked, and every process id must lie in [0, n), so hostile bytes
+// end in a ParseError, never in an out-of-range id.
 #pragma once
 
 #include <optional>
@@ -38,7 +40,7 @@ struct ParsedEvent {
   bool forced = false;
   std::optional<std::int64_t> value;  // decide
   std::uint64_t state_hash = 0;       // state
-  std::string fd;                     // oracle: raw JSON fragment
+  std::string fd;                     // oracle: fd object, as recorded
   std::string raw;                    // the whole line
 };
 
@@ -68,8 +70,10 @@ struct ParseError {
 };
 
 /// Parses a whole JSONL document. Returns nullopt if the meta line is
-/// missing, the schema version is unknown, or any line is structurally
-/// broken; when `error` is non-null it receives the diagnostic.
+/// missing, repeated or preceded by an event, the schema version is
+/// unknown, or any line is not one JSON object with a string "k", a field
+/// of the wrong type, or a process id outside [0, n); when `error` is
+/// non-null it receives the diagnostic.
 [[nodiscard]] std::optional<ParsedTrace> parse_trace(const std::string& jsonl,
                                                      ParseError* error = nullptr);
 

@@ -2,35 +2,12 @@
 
 #include <cstdio>
 
+#include "util/minijson.hpp"
+
 namespace nucon::trace {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::json_escape;
 
 std::string set_json(const ProcessSet& s) {
   std::string out = "[";
@@ -43,7 +20,8 @@ std::string set_json(const ProcessSet& s) {
   return out + "]";
 }
 
-/// FdValue as a JSON object with only the present components.
+}  // namespace
+
 std::string fd_json(const FdValue& d) {
   std::string out = "{";
   const char* sep = "";
@@ -62,8 +40,6 @@ std::string fd_json(const FdValue& d) {
   }
   return out + "}";
 }
-
-}  // namespace
 
 void TraceRecorder::line(std::string s) {
   out_ += s;

@@ -93,4 +93,9 @@ class TraceRecorder {
 /// state-transition events.
 [[nodiscard]] std::uint64_t state_hash_of(const Bytes& snapshot);
 
+/// An oracle event's `fd` object: only the present components, in the
+/// order leader, quorum, suspects. trace_reader renders parsed values
+/// back through it.
+[[nodiscard]] std::string fd_json(const FdValue& d);
+
 }  // namespace nucon::trace

@@ -1,5 +1,7 @@
 #include "util/minijson.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace nucon::util {
@@ -10,6 +12,7 @@ struct Parser {
   const char* begin;
   const char* end;
   JsonParseError* error;
+  int depth = 0;  // containers open around s
 
   [[nodiscard]] std::size_t line_of(const char* at) const {
     std::size_t line = 1;
@@ -40,6 +43,9 @@ struct Parser {
     ++s;
     out.clear();
     while (s < end && *s != '"') {
+      if (static_cast<unsigned char>(*s) < 0x20) {
+        return fail("unescaped control byte in string");
+      }
       if (*s == '\\') {
         ++s;
         if (s >= end) break;
@@ -69,13 +75,14 @@ struct Parser {
             out += '\f';
             break;
           case 'u': {
-            // The emitters only escape control bytes (< 0x20); decode the
+            // The writers only escape control bytes (< 0x20); decode the
             // low byte and ignore the (always-zero) high byte.
             if (end - s < 5) return fail("truncated \\u escape");
-            char hex[5] = {s[1], s[2], s[3], s[4], 0};
-            char* hex_end = nullptr;
-            const long code = std::strtol(hex, &hex_end, 16);
-            if (hex_end != hex + 4) return fail("bad \\u escape");
+            unsigned code = 0;
+            const auto [hex_end, ec] = std::from_chars(s + 1, s + 5, code, 16);
+            if (ec != std::errc() || hex_end != s + 5) {
+              return fail("bad \\u escape");
+            }
             out += static_cast<char>(code & 0xff);
             s += 4;
             break;
@@ -91,6 +98,38 @@ struct Parser {
     }
     if (s >= end) return fail("unterminated string");
     ++s;  // closing quote
+    return true;
+  }
+
+  /// Advances over a run of digits; false when there is none.
+  bool digits() {
+    const char* first = s;
+    while (s < end && *s >= '0' && *s <= '9') ++s;
+    return s != first;
+  }
+
+  /// The JSON number grammar, checked within [s, end) before strtod sees
+  /// the token (strtod alone also takes "inf", hex and leading '+').
+  bool parse_number(JsonValue& out) {
+    const char* first = s;
+    if (s < end && *s == '-') ++s;
+    if (s < end && *s == '0') {
+      ++s;
+    } else if (!digits()) {
+      return fail("unexpected character");
+    }
+    if (s < end && *s == '.') {
+      ++s;
+      if (!digits()) return fail("bad number");
+    }
+    if (s < end && (*s == 'e' || *s == 'E')) {
+      ++s;
+      if (s < end && (*s == '+' || *s == '-')) ++s;
+      if (!digits()) return fail("bad number");
+    }
+    out.kind = JsonValue::Kind::kNumber;
+    out.string.assign(first, s);
+    out.number = std::strtod(out.string.c_str(), nullptr);
     return true;
   }
 
@@ -156,9 +195,16 @@ bool Parser::parse_value(JsonValue& out) {
   if (s >= end) return fail("unexpected end of document");
   switch (*s) {
     case '{':
-      return parse_object(out);
-    case '[':
-      return parse_array(out);
+    case '[': {
+      if (depth == kMaxJsonDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                    " levels");
+      }
+      ++depth;
+      const bool ok = *s == '{' ? parse_object(out) : parse_array(out);
+      --depth;
+      return ok;
+    }
     case '"':
       out.kind = JsonValue::Kind::kString;
       return parse_string(out.string);
@@ -185,19 +231,30 @@ bool Parser::parse_value(JsonValue& out) {
         return true;
       }
       return fail("bad literal");
-    default: {
-      char* num_end = nullptr;
-      const double v = std::strtod(s, &num_end);
-      if (num_end == s) return fail("unexpected character");
-      out.kind = JsonValue::Kind::kNumber;
-      out.number = v;
-      s = num_end;
-      return true;
-    }
+    default:
+      return parse_number(out);
   }
 }
 
+template <typename T>
+std::optional<T> integer_of(const JsonValue& v) {
+  if (!v.is_number()) return std::nullopt;
+  const char* last = v.string.data() + v.string.size();
+  T out{};
+  const auto [end, ec] = std::from_chars(v.string.data(), last, out);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return out;
+}
+
 }  // namespace
+
+std::optional<std::int64_t> JsonValue::int64() const {
+  return integer_of<std::int64_t>(*this);
+}
+
+std::optional<std::uint64_t> JsonValue::uint64() const {
+  return integer_of<std::uint64_t>(*this);
+}
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (!is_object()) return nullptr;
@@ -230,6 +287,45 @@ std::optional<JsonValue> parse_json(const std::string& text,
     return std::nullopt;
   }
   return out;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string double_json(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  // Trim to the shortest representation that still round-trips.
+  for (int prec = 1; prec < 17; ++prec) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
+    if (std::strtod(shorter, nullptr) == v) return shorter;
+  }
+  return buf;
 }
 
 }  // namespace nucon::util

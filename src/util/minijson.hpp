@@ -1,25 +1,32 @@
-// A minimal JSON document parser (parse-only, no emitter).
+// The repo's one JSON reader, plus the two helpers every JSON writer uses.
 //
-// The report layer (obs/report.cpp) emits JSON by hand and validates it
-// with a skipping scanner; the trend engine (prof/trend.cpp) and the
-// nucon_bench CLI additionally need to *read values back* out of emitted
-// BENCH_*.json documents and bench/history ledger lines. This is the
-// smallest DOM that serves them: objects keep insertion order (the
-// emitters write deterministically ordered documents and the trend tables
-// preserve that order), numbers are doubles (every numeric field the
-// reports emit round-trips through %.17g), errors carry the 1-based line
-// number of the offending byte so the CLIs can print the same
-// "line N: message" diagnostics as trace_reader's ParseError.
+// Three kinds of document are read back: BENCH_*.json reports
+// (obs::validate_report_json, the trend engine in prof/trend.cpp), the
+// bench/history ledger lines, and the JSONL traces (trace::parse_trace,
+// one document per line). All go through parse_json, so all get the same
+// syntax check, the same nesting cap and the same exact integers:
+//   - objects keep insertion order (the writers emit deterministically
+//     ordered documents and the trend tables preserve that order);
+//   - numbers are doubles, and each keeps its token text, so int64() and
+//     uint64() read integers back exactly over their whole ranges;
+//   - nesting deeper than kMaxJsonDepth is an error, never a stack
+//     overflow, so hostile bytes cannot crash a reader;
+//   - errors carry the 1-based line number of the offending byte, so the
+//     CLIs print the same "line N: message" diagnostics as trace_reader's
+//     ParseError.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace nucon::util {
+
+/// Containers open at once, at most. The deepest document the repo writes
+/// nests 5 (a histogram inside a sweep section, or a table row).
+inline constexpr int kMaxJsonDepth = 64;
 
 struct JsonValue;
 
@@ -33,6 +40,7 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// A string's content; a number's token as written.
   std::string string;
   std::vector<JsonValue> array;
   JsonMembers members;
@@ -41,6 +49,12 @@ struct JsonValue {
   [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
   [[nodiscard]] bool is_number() const { return kind == Kind::kNumber; }
   [[nodiscard]] bool is_string() const { return kind == Kind::kString; }
+  [[nodiscard]] bool is_bool() const { return kind == Kind::kBool; }
+
+  /// The exact value of an integer token (no fraction or exponent) that
+  /// fits the type; nullopt otherwise.
+  [[nodiscard]] std::optional<std::int64_t> int64() const;
+  [[nodiscard]] std::optional<std::uint64_t> uint64() const;
 
   /// Member lookup on an object (nullptr when absent or not an object).
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
@@ -68,5 +82,12 @@ struct JsonParseError {
 /// receives the diagnostic.
 [[nodiscard]] std::optional<JsonValue> parse_json(const std::string& text,
                                                   JsonParseError* error);
+
+/// `s` as the inside of a JSON string literal: quotes, backslashes and
+/// control bytes escaped, every other byte as is.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
+/// The shortest decimal rendering of `v` that reads back as `v`.
+[[nodiscard]] std::string double_json(double v);
 
 }  // namespace nucon::util

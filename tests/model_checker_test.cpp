@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "algo/mr_consensus.hpp"
 #include "core/anuc.hpp"
+#include "core/from_scratch.hpp"
 
 namespace nucon {
 namespace {
@@ -133,6 +137,25 @@ TEST(ModelChecker, RespectsStateBudget) {
   const McResult result = model_check_consensus(opts);
   EXPECT_FALSE(result.exhausted);
   EXPECT_LE(result.states_explored, 501u);
+}
+
+// FromScratchConsensus has no save_state, and its snapshot() covers only
+// its MR component: a search deduplicated on it would prune configurations
+// whose election and Sigma state differ. The engine refuses it instead.
+TEST(ModelChecker, RefusesAutomataWithoutSaveState) {
+  McOptions opts;
+  opts.n = 3;
+  opts.make = make_from_scratch(3, 1);
+  opts.proposals = {0, 1, 1};
+  opts.fd = [](Pid, int) { return FdValue{}; };
+  opts.max_depth = 6;
+  try {
+    (void)model_check_consensus(opts);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("process 0"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -392,6 +392,28 @@ TEST(Minijson, ReportsLineNumbers) {
   EXPECT_FALSE(util::parse_json("{} trailing", &error).has_value());
 }
 
+#ifndef NUCON_HISTORY_LEDGER
+#error "NUCON_HISTORY_LEDGER must point at bench/history/ledger.jsonl"
+#endif
+
+// The committed ledger is read back by `nucon_bench check` on every run of
+// bench-trend: each of its lines must parse, and re-emitting the parsed
+// entry must give the line back byte for byte.
+TEST(Trend, CommittedLedgerRoundTripsByteForByte) {
+  std::ifstream f(NUCON_HISTORY_LEDGER, std::ios::binary);
+  ASSERT_TRUE(f.good()) << NUCON_HISTORY_LEDGER;
+  std::string line;
+  int lines = 0;
+  while (std::getline(f, line)) {
+    ++lines;
+    std::string error;
+    const auto entry = prof::parse_ledger_line(line, &error);
+    ASSERT_TRUE(entry.has_value()) << "line " << lines << ": " << error;
+    EXPECT_EQ(prof::ledger_line(*entry), line) << "line " << lines;
+  }
+  EXPECT_GT(lines, 0);
+}
+
 #ifdef NUCON_BENCH_BIN
 
 int exit_code_of(const std::string& cmd) {
@@ -441,6 +463,36 @@ TEST(NuconBench, DiffExitCodesFlipOnInjectedRegression) {
                          " " + good + " > /dev/null"),
             0);
   EXPECT_TRUE(std::filesystem::exists(manifest));
+  std::filesystem::remove_all(dir);
+}
+
+// Report names go into the manifest escaped, so a name with a quote or a
+// backslash still yields a manifest that parses.
+TEST(NuconBench, ManifestEscapesReportNames) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "nucon_bench_manifest_test";
+  std::filesystem::create_directories(dir);
+  const std::string report = (dir / "BENCH_odd.json").string();
+  obs::BenchReport r = synthetic_report(1000.0);
+  r.name = "a\"b\\c";
+  ASSERT_TRUE(obs::write_report_json(r, report));
+
+  const std::string manifest = (dir / "BENCH_manifest.json").string();
+  ASSERT_EQ(exit_code_of(std::string(NUCON_BENCH_BIN) + " manifest --out " +
+                         manifest + " " + report + " > /dev/null"),
+            0);
+  std::ifstream f(manifest, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(f)),
+                         std::istreambuf_iterator<char>());
+  util::JsonParseError error;
+  const auto doc = util::parse_json(text, &error);
+  ASSERT_TRUE(doc.has_value()) << error.to_string() << "\n" << text;
+  const util::JsonValue* reports = doc->find("reports");
+  ASSERT_TRUE(reports != nullptr && reports->is_array() &&
+              reports->array.size() == 1)
+      << text;
+  EXPECT_EQ(reports->array[0].string_at("bench"), r.name);
+  EXPECT_EQ(reports->array[0].string_at("file"), "BENCH_odd.json");
   std::filesystem::remove_all(dir);
 }
 

@@ -32,6 +32,7 @@
 
 #include "obs/report.hpp"
 #include "prof/trend.hpp"
+#include "util/minijson.hpp"
 
 using namespace nucon;
 
@@ -282,8 +283,9 @@ int cmd_manifest(const CommonFlags& flags) {
     }
     if (i > 0) os << ",";
     os << "{\"file\":\""
-       << std::filesystem::path(path).filename().string() << "\",\"bench\":\""
-       << entry->bench << "\",\"metrics\":" << entry->metrics.size() << "}";
+       << util::json_escape(std::filesystem::path(path).filename().string())
+       << "\",\"bench\":\"" << util::json_escape(entry->bench)
+       << "\",\"metrics\":" << entry->metrics.size() << "}";
     std::printf("ok %s (%zu trend metrics)\n", path.c_str(),
                 entry->metrics.size());
   }
