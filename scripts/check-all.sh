@@ -18,7 +18,8 @@
 # (the mc label covers the model checker's parallel-frontier determinism
 # suite, fuzz covers the schedule fuzzer's engine/minimizer/corpus
 # suites, fdqos covers the timing-aware scheduler mode plus the
-# heartbeat-implemented detectors, prof covers the hot-path profiling
+# heartbeat-implemented detectors (the Omega election cases included,
+# timed and untimed), prof covers the hot-path profiling
 # probes and the trend/regression engine, and scale covers the wide
 # ProcessSet boundaries plus the incremental QuorumHistory equivalence
 # oracle, oracle covers the detector-class property sweep and the
@@ -26,14 +27,17 @@
 # sample-DAG suites, whose gossip decoder reads untrusted bytes, and sim
 # covers the executors that step through the step kernel (scheduler,
 # replay, Lemma 2.2 merging, the hand-driven register runs) and the
-# stacked automata that share a link through ChannelMux, and core covers
+# stacked automata that share a link through ChannelMux (the no-oracle
+# from-scratch stack among them), and core covers
 # A_nuc and its quorum history, whose row decoder reads untrusted bytes
 # (quorum_history, anuc, contamination, the shared-decode differential
 # and the hermetic-heap suites), and util covers the byte codec and the
 # other utility suites (process sets, rng, detector values, stats,
 # failure patterns, trace), and algo covers the baseline algorithms whose
 # readers take payload views (MR, CT, Ben-Or), the replicated log, the
-# reductions, the harness and the checkers — together every suite, all
+# reductions, the harness, the checkers and the state-contract suite
+# (every registry algorithm against a twin restored from its save_state
+# before each step) — together every suite, all
 # worth re-running under the sanitizers, the scale suite especially because the
 # heap-spilled set words are fresh allocator traffic), then runs the
 # quick throughput baselines plus the 10s fuzz smoke campaign

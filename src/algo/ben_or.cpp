@@ -46,11 +46,11 @@ void BenOr::start_round(std::vector<Outgoing>& out) {
 void BenOr::on_message(Pid from, ByteView payload) {
   ByteReader r(payload);
   const auto tag = r.u8();
-  const auto round = r.uvarint();
+  const auto round = r.round();
   const auto v = r.svarint();
   if (!tag || !round || !v || !r.done()) return;
   if (*v != 0 && *v != 1 && *v != kQuestion) return;
-  RoundMsgs& msgs = inbox_[static_cast<int>(*round)];
+  RoundMsgs& msgs = inbox_[*round];
   msgs.ensure(n_);
   if (*tag == kTagReport && *v != kQuestion) {
     msgs.report[from] = *v;
@@ -113,20 +113,9 @@ void BenOr::advance(std::vector<Outgoing>& out) {
   }
 }
 
-std::optional<Bytes> BenOr::snapshot() const {
-  ByteWriter w;
-  w.svarint(x_);
-  w.uvarint(static_cast<std::uint64_t>(round_));
-  w.uvarint(static_cast<std::uint64_t>(decided_round_));
-  w.u8(static_cast<std::uint8_t>(phase_));
-  w.u8(decided_.has_value());
-  if (decided_) w.svarint(*decided_);
-  return w.take();
-}
-
 bool BenOr::save_state(ByteWriter& w) const {
-  // Complete state (snapshot() covers the registers only): the inbox and
-  // the coin tape position both drive future behavior.
+  // Complete state: the inbox and the coin tape position both drive future
+  // behavior.
   w.svarint(x_);
   w.uvarint(static_cast<std::uint64_t>(round_));
   w.uvarint(static_cast<std::uint64_t>(decided_round_));
@@ -153,8 +142,8 @@ bool BenOr::save_state(ByteWriter& w) const {
 
 bool BenOr::restore_state(ByteReader& r) {
   const auto x = r.svarint();
-  const auto round = r.uvarint();
-  const auto decided_round = r.uvarint();
+  const auto round = r.round();
+  const auto decided_round = r.round();
   const auto phase = r.u8();
   const auto has_decided = r.u8();
   if (!x || !round || !decided_round || !phase || *phase > 1 || !has_decided) {
@@ -173,29 +162,33 @@ bool BenOr::restore_state(ByteReader& r) {
   if (!coin_flips || !rounds) return false;
 
   std::map<int, RoundMsgs> inbox;
-  const auto slot = [&r, this](std::vector<std::optional<Value>>& arr) {
+  // advance() counts by value: reports are 0 or 1, proposals also "?".
+  const auto slot = [&r, this](std::vector<std::optional<Value>>& arr,
+                               bool question) {
     for (Pid q = 0; q < n_; ++q) {
       const auto has = r.u8();
       if (!has) return false;
       if (*has != 0) {
         const auto v = r.svarint();
-        if (!v) return false;
+        if (!v || (*v != 0 && *v != 1 && !(question && *v == kQuestion))) {
+          return false;
+        }
         arr[q] = *v;
       }
     }
     return true;
   };
   for (std::uint64_t i = 0; i < *rounds; ++i) {
-    const auto key = r.uvarint();
+    const auto key = r.round();
     if (!key) return false;
-    RoundMsgs& msgs = inbox[static_cast<int>(*key)];
+    RoundMsgs& msgs = inbox[*key];
     msgs.ensure(n_);
-    if (!slot(msgs.report) || !slot(msgs.proposal)) return false;
+    if (!slot(msgs.report, false) || !slot(msgs.proposal, true)) return false;
   }
 
   x_ = *x;
-  round_ = static_cast<int>(*round);
-  decided_round_ = static_cast<int>(*decided_round);
+  round_ = *round;
+  decided_round_ = *decided_round;
   phase_ = static_cast<Phase>(*phase);
   decided_ = decided;
   coin_ = coin;

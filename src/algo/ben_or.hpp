@@ -35,8 +35,6 @@ class BenOr final : public ConsensusAutomaton {
     return decided_;
   }
 
-  [[nodiscard]] std::optional<Bytes> snapshot() const override;
-
   [[nodiscard]] bool save_state(ByteWriter& w) const override;
   [[nodiscard]] bool restore_state(ByteReader& r) override;
 

@@ -63,19 +63,17 @@ void CtConsensus::on_message(Pid from, ByteView payload,
     return;
   }
 
-  const auto round = r.uvarint();
+  const auto round = r.round();
   if (!round) return;
-  const int rnd = static_cast<int>(*round);
+  const int rnd = *round;
   if (rnd < round_) return;  // this round is over for us
 
   RoundInbox& inbox = inbox_[rnd];
   switch (*tag) {
     case kTagEstimate: {
       const auto v = r.svarint();
-      const auto ts = r.uvarint();
-      if (v && ts && r.done()) {
-        inbox.estimates[from] = {*v, static_cast<int>(*ts)};
-      }
+      const auto ts = r.round();
+      if (v && ts && r.done()) inbox.estimates[from] = {*v, *ts};
       break;
     }
     case kTagSelect:
@@ -154,21 +152,10 @@ void CtConsensus::advance(const FdValue& d, std::vector<Outgoing>& out) {
   }
 }
 
-std::optional<Bytes> CtConsensus::snapshot() const {
-  ByteWriter w;
-  w.svarint(x_);
-  w.uvarint(static_cast<std::uint64_t>(ts_));
-  w.uvarint(static_cast<std::uint64_t>(round_));
-  w.u8(static_cast<std::uint8_t>(phase_));
-  w.u8(decided_.has_value());
-  if (decided_) w.svarint(*decided_);
-  return w.take();
-}
-
 bool CtConsensus::save_state(ByteWriter& w) const {
-  // Complete state (unlike snapshot(), which covers the registers only):
-  // the buffered per-round inbox and the coordinator's selection drive
-  // future behavior, so the model checker's dedup must see them.
+  // Complete state: the buffered per-round inbox and the coordinator's
+  // selection drive future behavior, so the model checker's dedup must
+  // see them.
   w.svarint(x_);
   w.uvarint(static_cast<std::uint64_t>(ts_));
   w.uvarint(static_cast<std::uint64_t>(round_));
@@ -197,8 +184,8 @@ bool CtConsensus::save_state(ByteWriter& w) const {
 
 bool CtConsensus::restore_state(ByteReader& r) {
   const auto x = r.svarint();
-  const auto ts = r.uvarint();
-  const auto round = r.uvarint();
+  const auto ts = r.round();
+  const auto round = r.round();
   const auto phase = r.u8();
   const auto select_value = r.svarint();
   const auto has_decided = r.u8();
@@ -212,23 +199,23 @@ bool CtConsensus::restore_state(ByteReader& r) {
     if (!v) return false;
     decided = *v;
   }
-  const auto decided_round = r.uvarint();
+  const auto decided_round = r.round();
   const auto flooded = r.u8();
   const auto rounds = r.uvarint();
   if (!decided_round || !flooded || !rounds) return false;
 
   std::map<int, RoundInbox> inbox;
   for (std::uint64_t i = 0; i < *rounds; ++i) {
-    const auto key = r.uvarint();
+    const auto key = r.round();
     const auto estimates = r.uvarint();
     if (!key || !estimates) return false;
-    RoundInbox& box = inbox[static_cast<int>(*key)];
+    RoundInbox& box = inbox[*key];
     for (std::uint64_t j = 0; j < *estimates; ++j) {
       const auto from = r.pid();
       const auto value = r.svarint();
-      const auto est_ts = r.uvarint();
-      if (!from || !value || !est_ts) return false;
-      box.estimates[*from] = {*value, static_cast<int>(*est_ts)};
+      const auto est_ts = r.round();
+      if (!from || *from >= n_ || !value || !est_ts) return false;
+      box.estimates[*from] = {*value, *est_ts};
     }
     const auto has_selection = r.u8();
     if (!has_selection) return false;
@@ -237,20 +224,20 @@ bool CtConsensus::restore_state(ByteReader& r) {
       if (!v) return false;
       box.selection = *v;
     }
-    const auto acks = r.uvarint();
-    const auto replies = r.uvarint();
+    const auto acks = r.round();
+    const auto replies = r.round();
     if (!acks || !replies) return false;
-    box.acks = static_cast<int>(*acks);
-    box.replies = static_cast<int>(*replies);
+    box.acks = *acks;
+    box.replies = *replies;
   }
 
   x_ = *x;
-  ts_ = static_cast<int>(*ts);
-  round_ = static_cast<int>(*round);
+  ts_ = *ts;
+  round_ = *round;
   phase_ = static_cast<Phase>(*phase);
   select_value_ = *select_value;
   decided_ = decided;
-  decided_round_ = static_cast<int>(*decided_round);
+  decided_round_ = *decided_round;
   flooded_decide_ = *flooded != 0;
   inbox_ = std::move(inbox);
   return true;

@@ -46,8 +46,6 @@ class MrConsensus final : public ConsensusAutomaton {
     return decided_;
   }
 
-  [[nodiscard]] std::optional<Bytes> snapshot() const override;
-
   [[nodiscard]] bool save_state(ByteWriter& w) const override;
   [[nodiscard]] bool restore_state(ByteReader& r) override;
 

@@ -28,10 +28,10 @@ SharedBytes MrConsensus::encode(std::uint8_t tag, int round, Value v) {
 void MrConsensus::on_message(Pid from, ByteView payload) {
   ByteReader r(payload);
   const auto tag = r.u8();
-  const auto round = r.uvarint();
+  const auto round = r.round();
   const auto v = r.svarint();
   if (!tag || !round || !v || !r.done()) return;  // drop malformed input
-  RoundMsgs& msgs = inbox_[static_cast<int>(*round)];
+  RoundMsgs& msgs = inbox_[*round];
   msgs.ensure(opts_.n);
   switch (*tag) {
     case kTagLead:
@@ -157,15 +157,6 @@ void MrConsensus::advance(const FdValue& d, std::vector<Outgoing>& out) {
   }
 }
 
-std::optional<Bytes> MrConsensus::snapshot() const {
-  // Complete state encoding: the model checker relies on two MrConsensus
-  // automata with equal snapshots being behaviorally identical, so the
-  // buffered per-round messages are included, not just the registers.
-  ByteWriter w;
-  if (!save_state(w)) return std::nullopt;
-  return w.take();
-}
-
 bool MrConsensus::save_state(ByteWriter& w) const {
   w.svarint(x_);
   w.uvarint(static_cast<std::uint64_t>(round_));
@@ -192,7 +183,7 @@ bool MrConsensus::save_state(ByteWriter& w) const {
 
 bool MrConsensus::restore_state(ByteReader& r) {
   const auto x = r.svarint();
-  const auto round = r.uvarint();
+  const auto round = r.round();
   const auto phase = r.u8();
   const auto has_decided = r.u8();
   if (!x || !round || !phase || *phase > 2 || !has_decided) return false;
@@ -202,7 +193,7 @@ bool MrConsensus::restore_state(ByteReader& r) {
     if (!v) return false;
     decided = *v;
   }
-  const auto decided_round = r.uvarint();
+  const auto decided_round = r.round();
   const auto rounds = r.uvarint();
   if (!decided_round || !rounds) return false;
 
@@ -220,18 +211,18 @@ bool MrConsensus::restore_state(ByteReader& r) {
     return true;
   };
   for (std::uint64_t i = 0; i < *rounds; ++i) {
-    const auto key = r.uvarint();
+    const auto key = r.round();
     if (!key) return false;
-    RoundMsgs& msgs = inbox[static_cast<int>(*key)];
+    RoundMsgs& msgs = inbox[*key];
     msgs.ensure(opts_.n);
     if (!slot(msgs.lead) || !slot(msgs.rep) || !slot(msgs.prop)) return false;
   }
 
   x_ = *x;
-  round_ = static_cast<int>(*round);
+  round_ = *round;
   phase_ = static_cast<Phase>(*phase);
   decided_ = decided;
-  decided_round_ = static_cast<int>(*decided_round);
+  decided_round_ = *decided_round;
   inbox_ = std::move(inbox);
   return true;
 }

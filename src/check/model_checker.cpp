@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <deque>
 #include <future>
 #include <memory>
@@ -491,7 +490,7 @@ SectionPtr encode_section(const Automaton& a) {
 /// Computes one frontier item's children: pure function of the item (the
 /// pool is read-only here), so the parallel layer can run it on any worker
 /// in any order.
-Expansion expand(const McOptions& opts, bool use_por, std::uint64_t run_tag,
+Expansion expand(const McOptions& opts, std::uint64_t run_tag,
                  const PayloadPool& pool, const WorkItem& item) {
   Expansion out;
   const Config& cfg = item.cfg;
@@ -537,7 +536,7 @@ Expansion expand(const McOptions& opts, bool use_por, std::uint64_t run_tag,
     std::size_t w = 0;
     std::size_t s = 0;
     const auto awake = [&](StepId id) {
-      if (!use_por) return true;
+      if (!opts.use_por) return true;
       while (s < item.sleep.size() && item.sleep[s] < id) ++s;
       if (s < item.sleep.size() && item.sleep[s] == id) {
         ++out.por_skips;
@@ -773,11 +772,9 @@ struct NodeMeta {
 /// budget accounting, and violation selection are identical no matter how
 /// many threads produced the expansions.
 struct Engine {
-  Engine(const McOptions& o, bool por, std::uint64_t tag)
-      : opts(o), use_por(por), run_tag(tag) {}
+  Engine(const McOptions& o, std::uint64_t tag) : opts(o), run_tag(tag) {}
 
   const McOptions& opts;
-  bool use_por;
   std::uint64_t run_tag;
 
   McResult result;
@@ -826,7 +823,7 @@ struct Engine {
       }
       const bool expandable = depth < opts.max_depth;
       SleepSet sleep;
-      if (expandable && use_por) {
+      if (expandable && opts.use_por) {
         sleep = ChildSleep(item.sleep, targets, index, c.step.p).materialize();
       }
       visited.insert({key.lo, key.hi, id, 0, depth, expandable, sleep});
@@ -886,7 +883,6 @@ struct Engine {
 void parallel_layer(Engine& engine, exp::ThreadPool& pool,
                     const std::vector<WorkItem>& frontier) {
   const McOptions& opts = engine.opts;
-  const bool use_por = engine.use_por;
   const std::uint64_t run_tag = engine.run_tag;
   const std::size_t workers = std::max(1u, pool.size());
   const std::size_t chunk =
@@ -904,13 +900,11 @@ void parallel_layer(Engine& engine, exp::ThreadPool& pool,
     submitted = end;
     inflight.emplace_back(
         begin,
-        pool.submit([&opts, use_por, run_tag, &payloads, &frontier, begin,
-                     end] {
+        pool.submit([&opts, run_tag, &payloads, &frontier, begin, end] {
           std::vector<Expansion> out;
           out.reserve(end - begin);
           for (std::size_t i = begin; i < end; ++i) {
-            out.push_back(expand(opts, use_por, run_tag, payloads,
-                                 frontier[i]));
+            out.push_back(expand(opts, run_tag, payloads, frontier[i]));
           }
           return out;
         }));
@@ -939,8 +933,8 @@ void parallel_layer(Engine& engine, exp::ThreadPool& pool,
 // ---------------------------------------------------------------------------
 // The frozen pre-overhaul engine (model_check_consensus_replay_baseline):
 // single-threaded DFS, O(depth) path replay per node, 64-bit dedup over
-// snapshot(). Kept as the bench baseline and for automata without
-// complete-state support.
+// each automaton's save_state bytes. Kept as the bench baseline and as the
+// reference the parallel engine's verdicts are checked against.
 // ---------------------------------------------------------------------------
 
 struct MState {
@@ -1110,12 +1104,6 @@ McResult model_check_consensus(const McOptions& opts) {
   assert(opts.make != nullptr && opts.fd != nullptr);
   assert(opts.proposals.size() == static_cast<std::size_t>(opts.n));
 
-  bool use_por = opts.use_por;
-  if (const char* env = std::getenv("NUCON_MC_NO_POR");
-      env != nullptr && *env != '\0' && *env != '0') {
-    use_por = false;
-  }
-
   // Build and encode the initial configuration. Every automaton must keep
   // the complete-state contract: the engine's dedup is sound only over
   // complete states.
@@ -1147,7 +1135,7 @@ McResult model_check_consensus(const McOptions& opts) {
   }
 
   static std::atomic<std::uint64_t> run_counter{0};
-  Engine engine(opts, use_por, ++run_counter);
+  Engine engine(opts, ++run_counter);
   engine.result.states_explored = 1;
   engine.meta.push_back({});
   root.key = key_of(root);
@@ -1185,8 +1173,7 @@ McResult model_check_consensus(const McOptions& opts) {
     } else {
       for (const WorkItem& item : frontier) {
         if (engine.stop) break;
-        Expansion e =
-            expand(opts, use_por, engine.run_tag, engine.payloads, item);
+        Expansion e = expand(opts, engine.run_tag, engine.payloads, item);
         engine.merge(item, e);
       }
     }

@@ -32,8 +32,8 @@
 //    reconciled on revisits, which keeps the reduction sound under state
 //    caching: POR changes how many arrivals are generated, never the set
 //    of configurations reached within the depth bound, so the verdict and
-//    states_explored match the unreduced search. NUCON_MC_NO_POR=1
-//    disables it.
+//    states_explored match the unreduced search. McOptions::use_por
+//    switches it off.
 //
 // Soundness notes:
 //  * a reported violation is real: the witness trace replays
@@ -87,8 +87,7 @@ struct McOptions {
   /// `threads`; the caller keeps ownership). When null and threads > 1 a
   /// pool is created for the call.
   exp::ThreadPool* pool = nullptr;
-  /// Sleep-set partial-order reduction (see file comment). The
-  /// NUCON_MC_NO_POR=1 environment variable forces it off.
+  /// Sleep-set partial-order reduction (see file comment).
   bool use_por = true;
 };
 
@@ -138,11 +137,10 @@ struct McResult {
 
 /// The pre-overhaul engine, frozen as a baseline: single-threaded DFS that
 /// re-materializes every configuration by replaying the whole path and
-/// dedups on a 64-bit hash of snapshot(), so its verdict is only as
-/// complete as snapshot() is. Kept for the bench_model speedup comparison
-/// and for cross-validating verdicts; `threads`,
-/// `pool`, and `use_por` are ignored, and witness deliveries index the
-/// FIFO buffer order rather than the canonical order.
+/// dedups on a 64-bit hash of the automata's save_state bytes. Kept for
+/// the bench_model speedup comparison and for cross-validating verdicts;
+/// `threads`, `pool`, and `use_por` are ignored, and witness deliveries
+/// index the FIFO buffer order rather than the canonical order.
 [[nodiscard]] McResult model_check_consensus_replay_baseline(
     const McOptions& opts);
 

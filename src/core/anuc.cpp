@@ -1,7 +1,6 @@
 #include "core/anuc.hpp"
 
 #include <cassert>
-#include <climits>
 
 namespace nucon {
 namespace {
@@ -17,7 +16,7 @@ constexpr std::uint8_t kTagAck = 5;
 /// a whole history once per receiver was the dominant per-step cost at
 /// scale. `h == nullptr` records "malformed": same bytes, same verdict.
 struct ParsedLeadProp {
-  std::uint64_t round = 0;
+  int round = 0;
   Value v = 0;
   std::shared_ptr<const QuorumHistory> h;
 };
@@ -26,7 +25,7 @@ ParsedLeadProp parse_lead_prop(ByteView payload) {
   ByteReader r(payload);
   (void)r.u8();  // tag, validated by the caller
   ParsedLeadProp p;
-  const auto round = r.uvarint();
+  const auto round = r.round();
   const auto v = r.svarint();
   if (!round || !v) return p;
   auto h = QuorumHistory::decode(r);
@@ -35,14 +34,6 @@ ParsedLeadProp parse_lead_prop(ByteView payload) {
   p.v = *v;
   p.h = std::make_shared<const QuorumHistory>(std::move(*h));
   return p;
-}
-
-/// A round number read from a message or a saved state; nullopt when it
-/// does not fit the automaton's `int` rounds, which makes the message or
-/// state malformed (no run gets anywhere near that bound).
-std::optional<int> as_round(std::optional<std::uint64_t> v) {
-  if (!v || *v > static_cast<std::uint64_t>(INT_MAX)) return std::nullopt;
-  return static_cast<int>(*v);
 }
 
 }  // namespace
@@ -102,16 +93,15 @@ void Anuc::on_message(Pid from, ByteView payload, const SharedBytes* shared,
           shared != nullptr
               ? shared->decoded<ParsedLeadProp>(payload, parse_lead_prop)
               : fresh;
-      const auto round = as_round(p.round);
-      if (!p.h || p.h->n() != n_ || !round) return;
-      RoundMsgs& msgs = inbox_[*round];
+      if (!p.h || p.h->n() != n_) return;
+      RoundMsgs& msgs = inbox_[p.round];
       msgs.ensure(n_);
       auto& slot = (*tag == kTagLead) ? msgs.lead[from] : msgs.prop[from];
       slot = HistoryMsg{p.v, p.h};
       break;
     }
     case kTagRep: {
-      const auto round = as_round(r.uvarint());
+      const auto round = r.round();
       const auto v = r.svarint();
       if (!round || !v || !r.done()) return;
       RoundMsgs& msgs = inbox_[*round];
@@ -135,7 +125,7 @@ void Anuc::on_message(Pid from, ByteView payload, const SharedBytes* shared,
     case kTagAck: {
       // Fig. 4 lines 39-42.
       const auto quorum = r.process_set(n_);
-      const auto round = as_round(r.uvarint());
+      const auto round = r.round();
       if (!quorum || !round || !r.done()) return;
       SawState& state = saw_[*quorum];
       state.acks.insert(from);
@@ -257,21 +247,10 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
   }
 }
 
-std::optional<Bytes> Anuc::snapshot() const {
-  ByteWriter w;
-  w.svarint(x_);
-  w.uvarint(static_cast<std::uint64_t>(round_));
-  w.u8(static_cast<std::uint8_t>(phase_));
-  w.u8(decided_.has_value());
-  if (decided_) w.svarint(*decided_);
-  history_.encode(w);
-  return w.take();
-}
-
 bool Anuc::save_state(ByteWriter& w) const {
-  // Unlike snapshot() (registers + history only), this is the complete
-  // state: the buffered inbox and SAW/ACK bookkeeping determine future
-  // behavior, so the model checker's dedup must distinguish them.
+  // The complete state: the buffered inbox and SAW/ACK bookkeeping
+  // determine future behavior, so the model checker's dedup must
+  // distinguish them.
   w.svarint(x_);
   w.uvarint(static_cast<std::uint64_t>(round_));
   w.u8(static_cast<std::uint8_t>(phase_));
@@ -316,7 +295,7 @@ bool Anuc::save_state(ByteWriter& w) const {
 
 bool Anuc::restore_state(ByteReader& r) {
   const auto x = r.svarint();
-  const auto round = as_round(r.uvarint());
+  const auto round = r.round();
   const auto phase = r.u8();
   const auto has_decided = r.u8();
   if (!x || !round || !phase || *phase > 2 || !has_decided) return false;
@@ -326,7 +305,7 @@ bool Anuc::restore_state(ByteReader& r) {
     if (!v) return false;
     decided = *v;
   }
-  const auto decided_round = as_round(r.uvarint());
+  const auto decided_round = r.round();
   if (!decided_round) return false;
   auto history = QuorumHistory::decode(r);
   if (!history || history->n() != n_) return false;
@@ -350,7 +329,7 @@ bool Anuc::restore_state(ByteReader& r) {
         return true;
       };
   for (std::uint64_t i = 0; i < *rounds; ++i) {
-    const auto key = as_round(r.uvarint());
+    const auto key = r.round();
     if (!key) return false;
     RoundMsgs& msgs = inbox[*key];
     msgs.ensure(n_);
@@ -374,7 +353,7 @@ bool Anuc::restore_state(ByteReader& r) {
     const auto quorum = r.process_set(n_);
     const auto sent = r.u8();
     const auto acks = r.process_set(n_);
-    const auto max_ack_round = as_round(r.uvarint());
+    const auto max_ack_round = r.round();
     const auto has_seen = r.u8();
     if (!quorum || !sent || !acks || !max_ack_round || !has_seen) return false;
     SawState& state = saw[*quorum];
@@ -382,7 +361,7 @@ bool Anuc::restore_state(ByteReader& r) {
     state.acks = *acks;
     state.max_ack_round = *max_ack_round;
     if (*has_seen != 0) {
-      const auto seen = as_round(r.uvarint());
+      const auto seen = r.round();
       if (!seen) return false;
       state.seen = *seen;
     }

@@ -52,8 +52,6 @@ class Anuc final : public ConsensusAutomaton {
     return decided_;
   }
 
-  [[nodiscard]] std::optional<Bytes> snapshot() const override;
-
   [[nodiscard]] bool save_state(ByteWriter& w) const override;
   [[nodiscard]] bool restore_state(ByteReader& r) override;
 

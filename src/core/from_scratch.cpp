@@ -11,7 +11,7 @@ constexpr std::uint8_t kChannelConsensus = 2;
 
 FromScratchConsensus::FromScratchConsensus(Pid self, Value proposal, Pid n,
                                            Pid t)
-    : omega_(self, n),
+    : omega_(self, n, HeartbeatMode::kOmega, {}),
       sigma_(self, n, t),
       consensus_(self, proposal, MrOptions{n, MrQuorumMode::kFdQuorum}) {}
 
@@ -22,8 +22,8 @@ void FromScratchConsensus::step(const Incoming* in, const FdValue& d,
   mux_.step(in, omega_, kChannelOmega, FdValue{}, out);
   mux_.step(in, sigma_, kChannelSigma, FdValue{}, out);
 
-  const FdValue synthesized = FdValue::combine(
-      omega_.emulated_output(), sigma_.emulated_output());
+  const FdValue synthesized =
+      FdValue::combine(omega_.output(), sigma_.emulated_output());
   mux_.step(in, consensus_, kChannelConsensus, synthesized, out);
 }
 

@@ -3,8 +3,8 @@
 //
 // Theorem 7.1-IF says that with t < n/2 the quorum detector Sigma is
 // implementable from scratch; Omega is implementable from scratch in any
-// environment by adaptive-timeout election (core/omega_election.hpp).
-// Stacking both emulations under the MR quorum consensus algorithm — all
+// environment by adaptive-timeout heartbeats (fd/impl/heartbeat.hpp, in
+// Omega mode). Stacking both under the MR quorum consensus algorithm — all
 // three components inside one automaton sharing the link through a
 // channel byte — yields uniform consensus in E_t with t < n/2 with *zero*
 // oracles, the strongest "everything here actually runs" statement the
@@ -13,8 +13,8 @@
 #pragma once
 
 #include "algo/mr_consensus.hpp"
-#include "core/omega_election.hpp"
 #include "core/sigma_from_majority.hpp"
+#include "fd/impl/heartbeat.hpp"
 
 namespace nucon {
 
@@ -31,16 +31,23 @@ class FromScratchConsensus final : public ConsensusAutomaton {
     return consensus_.decision();
   }
 
-  [[nodiscard]] std::optional<Bytes> snapshot() const override {
-    return consensus_.snapshot();
+  /// Complete state = the three components' complete states (the mux
+  /// keeps only send scratch).
+  [[nodiscard]] bool save_state(ByteWriter& w) const override {
+    return omega_.save_state(w) && sigma_.save_state(w) &&
+           consensus_.save_state(w);
+  }
+  [[nodiscard]] bool restore_state(ByteReader& r) override {
+    return omega_.restore_state(r) && sigma_.restore_state(r) &&
+           consensus_.restore_state(r);
   }
 
-  [[nodiscard]] const OmegaElection& omega() const { return omega_; }
+  [[nodiscard]] const HeartbeatFd& omega() const { return omega_; }
   [[nodiscard]] const SigmaFromMajority& sigma() const { return sigma_; }
   [[nodiscard]] const MrConsensus& consensus() const { return consensus_; }
 
  private:
-  OmegaElection omega_;
+  HeartbeatFd omega_;
   SigmaFromMajority sigma_;
   MrConsensus consensus_;
   ChannelMux mux_;

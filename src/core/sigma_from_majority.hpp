@@ -32,6 +32,9 @@ class SigmaFromMajority final : public Automaton, public EmulatedFd {
     return FdValue::of_quorum(output_);
   }
 
+  [[nodiscard]] bool save_state(ByteWriter& w) const override;
+  [[nodiscard]] bool restore_state(ByteReader& r) override;
+
   [[nodiscard]] int round() const { return round_; }
   [[nodiscard]] std::int64_t quorums_output() const { return emitted_; }
 
@@ -43,8 +46,9 @@ class SigmaFromMajority final : public Automaton, public EmulatedFd {
   const Pid t_;
 
   int round_ = 0;
-  /// heard_[k] = senders of round-k tags received so far; kept per round
-  /// because a fast process may send its round-k tag before we enter k.
+  /// heard_[k] = senders of round-k tags received so far, k >= round_;
+  /// kept per round because a fast process may send its round-k tag before
+  /// we enter k. Tags of rounds already over are dropped.
   std::map<int, ProcessSet> heard_;
   ProcessSet output_;  // initially Pi
   std::int64_t emitted_ = 0;

@@ -31,10 +31,6 @@ class StackedNuc final : public ConsensusAutomaton {
     return consensus_.decision();
   }
 
-  [[nodiscard]] std::optional<Bytes> snapshot() const override {
-    return consensus_.snapshot();
-  }
-
   /// Complete state = both components' complete states (the mux keeps
   /// only send scratch, cleared before every use).
   [[nodiscard]] bool save_state(ByteWriter& w) const override {

@@ -52,13 +52,50 @@ void HeartbeatFd::step(const Incoming* in, const FdValue& /*d*/,
   }
 
   if (local_time_ % opts_.heartbeat_every == 0 && n_ > 1) {
-    // Empty payload: Incoming::from identifies the sender, which is all a
-    // heartbeat says. One sealed buffer, shared across destinations.
-    SharedBytes hb{Bytes{}};
+    SharedBytes::counters().broadcasts += 1;
     for (Pid q = 0; q < n_; ++q) {
-      if (q != self_) out.push_back({q, hb});
+      if (q != self_) out.push_back({q, heartbeat_});
     }
   }
+}
+
+bool HeartbeatFd::save_state(ByteWriter& w) const {
+  w.svarint(local_time_);
+  for (Pid q = 0; q < n_; ++q) {
+    w.svarint(last_heard_[static_cast<std::size_t>(q)]);
+    w.svarint(timeout_[static_cast<std::size_t>(q)]);
+  }
+  w.process_set(suspected_, n_);
+  w.svarint(mistakes_);
+  return true;
+}
+
+bool HeartbeatFd::restore_state(ByteReader& r) {
+  const auto local_time = r.svarint();
+  if (!local_time || *local_time < 0) return false;
+  std::vector<Time> last_heard(static_cast<std::size_t>(n_));
+  std::vector<Time> timeout(static_cast<std::size_t>(n_));
+  for (std::size_t q = 0; q < last_heard.size(); ++q) {
+    const auto heard = r.svarint();
+    const auto limit = r.svarint();
+    if (!heard || *heard < 0 || *heard > *local_time || !limit ||
+        *limit < opts_.timeout_init || *limit > opts_.timeout_max) {
+      return false;
+    }
+    last_heard[q] = *heard;
+    timeout[q] = *limit;
+  }
+  const auto suspected = r.process_set(n_);
+  const auto mistakes = r.svarint();
+  if (!suspected || suspected->contains(self_) || !mistakes || *mistakes < 0) {
+    return false;
+  }
+  local_time_ = *local_time;
+  last_heard_ = std::move(last_heard);
+  timeout_ = std::move(timeout);
+  suspected_ = *suspected;
+  mistakes_ = *mistakes;
+  return true;
 }
 
 FdValue HeartbeatFd::output() const {

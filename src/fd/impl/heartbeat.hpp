@@ -23,7 +23,11 @@
 // unconditionally; accuracy holds once the adaptive timeout exceeds the
 // real inter-heartbeat gap, which the timing-aware scheduler mode
 // (sim/timing.hpp) keeps bounded — that is what makes the timeouts
-// meaningful rather than adversarial.
+// meaningful rather than adversarial. Under the untimed scheduler its
+// fairness backstop (a bounded message age) bounds the gap as well.
+//
+// The Ω view is the one implemented Ω: FdHost (host.hpp) hosts it beside
+// an algorithm, and FromScratchConsensus steps it as its leader.
 #pragma once
 
 #include <vector>
@@ -89,6 +93,11 @@ class HeartbeatFd final : public Automaton {
 
   [[nodiscard]] Pid self() const { return self_; }
 
+  [[nodiscard]] bool save_state(ByteWriter& w) const override;
+  /// Refuses a state no run reaches: a peer heard after the local time, a
+  /// timeout outside [timeout_init, timeout_max], or self suspected.
+  [[nodiscard]] bool restore_state(ByteReader& r) override;
+
  private:
   HeartbeatFd(const HeartbeatFd&) = default;
   [[nodiscard]] HeartbeatFd* clone_raw() const override {
@@ -105,6 +114,10 @@ class HeartbeatFd final : public Automaton {
   std::vector<Time> timeout_;
   ProcessSet suspected_;
   std::int64_t mistakes_ = 0;
+
+  /// Empty: Incoming::from identifies the sender, which is all a heartbeat
+  /// says. Sealed once and shared by every broadcast.
+  SharedBytes heartbeat_{Bytes{}};
 };
 
 /// Factory for running bare heartbeat modules (no hosted algorithm), e.g.

@@ -318,9 +318,6 @@ ExecutionResult execute_genome(const Genome& g, const ExecOptions& eopts) {
       if (a.save_state(scratch)) {
         result.state_keys.push_back(
             process_state_key(rec.p, state_key128(scratch.buffer())));
-      } else if (const auto snap = a.snapshot()) {
-        result.state_keys.push_back(
-            process_state_key(rec.p, state_key128(*snap)));
       }
     };
   }

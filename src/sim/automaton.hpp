@@ -53,21 +53,23 @@ class Automaton {
   virtual void step(const Incoming* in, const FdValue& d,
                     std::vector<Outgoing>& out) = 0;
 
-  /// Full encoding of the local state, used by tests to compare
-  /// configurations (e.g. the Lemma 2.2 merging check). Optional; the
-  /// default marks the state as not comparable. May omit transient
-  /// bookkeeping; the complete-state contract lives in save_state below.
-  [[nodiscard]] virtual std::optional<Bytes> snapshot() const {
-    return std::nullopt;
-  }
-
-  /// Complete-state serialization contract for the model checker: two
-  /// automata constructed by the same factory call whose save_state
-  /// encodings are equal must behave identically on every future input,
-  /// and restore_state(save_state(a)) must reproduce a exactly. Returns
-  /// false when the automaton does not support it (the default).
+  /// The one state contract (§2's local state): two automata constructed
+  /// by the same factory call whose save_state encodings are equal must
+  /// behave identically on every future input, and
+  /// restore_state(save_state(a)) must reproduce a exactly. Every reader
+  /// compares these bytes: the model checker, the fuzzer's coverage, trace
+  /// state hashes and the Lemma 2.2 merge checks. Returns false when the
+  /// automaton does not support it (the default).
   [[nodiscard]] virtual bool save_state(ByteWriter&) const { return false; }
   [[nodiscard]] virtual bool restore_state(ByteReader&) { return false; }
+
+  /// save_state as one buffer, or nullopt without it. Virtual only for
+  /// decorators that forward it.
+  [[nodiscard]] virtual std::optional<Bytes> snapshot() const {
+    ByteWriter w;
+    if (!save_state(w)) return std::nullopt;
+    return w.take();
+  }
 
   /// Convenience wrapper: restores from a whole buffer, requiring it to be
   /// consumed exactly.

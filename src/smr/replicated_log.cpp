@@ -149,9 +149,8 @@ void ReplicatedLog::step(const Incoming* in, const FdValue& d,
         }
       }
     } else if (type) {
-      const auto inst = r.uvarint();
-      if (inst) {
-        const int k = static_cast<int>(*inst);
+      if (const auto inst = r.round()) {
+        const int k = *inst;
         if (*type == kFrameInner) {
           if (auto payload = r.bytes(); payload && r.done()) {
             if (k == instance_) {

@@ -130,9 +130,9 @@ bool TraceRecorder::write_file(const std::string& path) const {
   return ok;
 }
 
-std::uint64_t state_hash_of(const Bytes& snapshot) {
+std::uint64_t state_hash_of(const Bytes& state) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : snapshot) {
+  for (std::uint8_t b : state) {
     h ^= b;
     h *= 0x100000001b3ULL;
   }

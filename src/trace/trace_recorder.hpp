@@ -38,7 +38,8 @@ namespace nucon::trace {
 
 struct RecorderOptions {
   /// Per-event-kind switches, all cheap; state hashes are the exception
-  /// (they snapshot() the stepping automaton every step) and default off.
+  /// (they encode the stepping automaton's complete save_state every step)
+  /// and default off.
   bool steps = true;
   bool oracle_queries = true;
   bool sends = true;
@@ -89,9 +90,9 @@ class TraceRecorder {
   std::int64_t events_ = 0;
 };
 
-/// FNV-1a over an automaton snapshot, the state fingerprint carried by
-/// state-transition events.
-[[nodiscard]] std::uint64_t state_hash_of(const Bytes& snapshot);
+/// FNV-1a over an automaton's save_state bytes, the state fingerprint
+/// carried by state-transition events.
+[[nodiscard]] std::uint64_t state_hash_of(const Bytes& state);
 
 /// An oracle event's `fd` object: only the present components, in the
 /// order leader, quorum, suspects. trace_reader renders parsed values

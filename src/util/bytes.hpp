@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -119,6 +120,16 @@ class ByteReader {
       if ((b & 0x80) == 0) return v;
       shift += 7;
     }
+  }
+
+  /// A round number, or another non-negative `int` field (a timestamp, a
+  /// count), written as a uvarint. nullopt when it does not fit an `int`:
+  /// the message or saved state is malformed (no run gets near that
+  /// bound), never filed under the truncated value.
+  [[nodiscard]] std::optional<int> round() {
+    const auto v = uvarint();
+    if (!v || *v > static_cast<std::uint64_t>(INT_MAX)) return std::nullopt;
+    return static_cast<int>(*v);
   }
 
   [[nodiscard]] std::optional<std::int64_t> svarint() {

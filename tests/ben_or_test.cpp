@@ -101,5 +101,75 @@ TEST(BenOr, SafetyWhileBlockedWithoutMajority) {
   EXPECT_TRUE(stats.verdict.uniform_agreement);
 }
 
+constexpr std::uint64_t kPastInt = (std::uint64_t{1} << 32) + 1;
+
+TEST(BenOr, MessagesForARoundPastIntAreDropped) {
+  // Cut to int, round 2^32 + 1 would be filed under round 1, and the two
+  // reports would complete its n - t = 2.
+  BenOr a(0, 1, 3, 1, 9);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);  // round 1, waiting for reports
+  const auto before = a.snapshot();
+  for (const std::uint8_t tag : {1, 2}) {  // REPORT, PROPOSAL
+    ByteWriter w;
+    w.u8(tag);
+    w.uvarint(kPastInt);
+    w.svarint(1);
+    const Bytes msg = w.take();
+    for (const Pid from : {1, 2}) {
+      const Incoming in{from, msg};
+      out.clear();
+      a.step(&in, FdValue{}, out);
+      EXPECT_TRUE(out.empty());
+      EXPECT_EQ(a.snapshot(), before) << "tag " << int{tag};
+    }
+  }
+}
+
+TEST(BenOr, RestoreRefusesARoundPastInt) {
+  BenOr a(0, 1, 3, 1, 9);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  ASSERT_EQ(saved.at(1), 0x01);  // x = 1 is one varint byte, then round 1
+  ByteWriter w;
+  w.raw(ByteView(saved).first(1));
+  w.uvarint(kPastInt);
+  w.raw(ByteView(saved).subspan(2));
+
+  BenOr b(0, 1, 3, 1, 9);
+  EXPECT_FALSE(b.restore(w.take()));
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.round(), 1);
+}
+
+TEST(BenOr, RestoreRefusesAReportOutsideBinary) {
+  // advance() counts reports by value; a restored report of 5 indexed
+  // past its two counters.
+  BenOr a(0, 1, 3, 1, 9);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  ByteWriter w;
+  w.u8(1);  // REPORT, round 1, value 1
+  w.uvarint(1);
+  w.svarint(1);
+  const Bytes report = w.take();
+  const Incoming in{1, report};
+  a.step(&in, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  // The inbox ends with round 1's slots: reports {-, 1, -}, then three
+  // empty proposal slots.
+  ASSERT_GE(saved.size(), 7u);
+  const std::size_t at = saved.size() - 5;
+  ASSERT_EQ(saved[at - 1], 0x01);
+  ASSERT_EQ(saved[at], 0x02);  // svarint(1)
+  Bytes forged = saved;
+  forged[at] = 0x0a;  // svarint(5)
+
+  BenOr b(0, 1, 3, 1, 9);
+  EXPECT_FALSE(b.restore(forged));
+  EXPECT_TRUE(b.restore(saved));
+}
+
 }  // namespace
 }  // namespace nucon

@@ -87,6 +87,21 @@ TEST(Bytes, PidRejectsOutOfRange) {
   EXPECT_FALSE(r2.pid());
 }
 
+TEST(Bytes, RoundRejectsValuesPastInt) {
+  ByteWriter w;
+  w.uvarint(0);
+  w.uvarint(INT_MAX);
+  w.uvarint(std::uint64_t{INT_MAX} + 1);
+  w.uvarint((std::uint64_t{1} << 32) + 1);  // would truncate to 1
+  const Bytes buf = w.take();
+  ByteReader r(buf);
+  EXPECT_EQ(r.round(), 0);
+  EXPECT_EQ(r.round(), INT_MAX);
+  EXPECT_FALSE(r.round());
+  EXPECT_FALSE(r.round());
+  EXPECT_TRUE(r.done());
+}
+
 TEST(Bytes, ProcessSetRoundTrip) {
   ByteWriter w;
   const ProcessSet s{0, 5, 63};

@@ -100,5 +100,93 @@ TEST(CtConsensus, SafetyHoldsEvenWhileBlockedWithoutMajority) {
   EXPECT_TRUE(stats.verdict.validity);
 }
 
+constexpr std::uint64_t kPastInt = (std::uint64_t{1} << 32) + 1;
+
+/// `encoded` with its one-byte varint at `at` replaced by `v`.
+Bytes with_varint(const Bytes& encoded, std::size_t at, std::uint64_t v) {
+  ByteWriter w;
+  w.raw(ByteView(encoded).first(at));
+  w.uvarint(v);
+  w.raw(ByteView(encoded).subspan(at + 1));
+  return w.take();
+}
+
+TEST(CtConsensus, RoundsAndTimestampsPastIntAreDropped) {
+  // p1 is in round 1 (coordinator p0), waiting for the selection. Cut to
+  // int, each message below would land in round 1.
+  CtConsensus a(1, 5, 3);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  const auto before = a.snapshot();
+  const auto message = [](std::uint8_t tag, std::uint64_t round) {
+    ByteWriter w;
+    w.u8(tag);
+    w.uvarint(round);
+    return w;
+  };
+  ByteWriter select = message(2, kPastInt);  // SELECT 9
+  select.svarint(9);
+  ByteWriter estimate = message(1, 1);  // ESTIMATE 7, timestamp past int
+  estimate.svarint(7);
+  estimate.uvarint(kPastInt);
+  ByteWriter ack = message(3, kPastInt);
+  for (ByteWriter* w : {&select, &estimate, &ack}) {
+    const Bytes msg = w->take();
+    const Incoming in{0, msg};
+    out.clear();
+    a.step(&in, FdValue{}, out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(a.snapshot(), before) << "tag " << int{msg[0]};
+  }
+}
+
+TEST(CtConsensus, RestoreRefusesRoundsAndTimestampsPastInt) {
+  CtConsensus a(1, 5, 3);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  // x = 5 is one varint byte, then timestamp 0 and round 1.
+  ASSERT_EQ(saved.at(1), 0x00);
+  ASSERT_EQ(saved.at(2), 0x01);
+
+  CtConsensus b(1, 5, 3);
+  EXPECT_FALSE(b.restore(with_varint(saved, 1, kPastInt)));
+  // Cut to int, 2^32 - 1 was round -1, saved back as 2^64 - 1.
+  EXPECT_FALSE(b.restore(with_varint(saved, 2, (std::uint64_t{1} << 32) - 1)));
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.round(), 1);
+}
+
+TEST(CtConsensus, RestoreRefusesAnEstimateFromOutsideTheSystem) {
+  // Coordinator p0 of round 1 at n=3; two estimates from p7 and p8 would
+  // make a majority and select 9, a value nobody proposed.
+  const auto state = [](Pid from) {
+    ByteWriter w;
+    w.svarint(5);  // x
+    w.uvarint(0);  // timestamp
+    w.uvarint(1);  // round
+    w.u8(0);       // awaiting estimates
+    w.svarint(0);  // selection
+    w.u8(0);       // undecided
+    w.uvarint(0);  // decided round
+    w.u8(0);       // not flooded
+    w.uvarint(1);  // one buffered round: round 1, two estimates
+    w.uvarint(1);
+    w.uvarint(2);
+    for (const Pid p : {Pid{1}, from}) {
+      w.pid(p);
+      w.svarint(9);
+      w.uvarint(0);
+    }
+    w.u8(0);  // no selection, no acks, no replies
+    w.uvarint(0);
+    w.uvarint(0);
+    return w.take();
+  };
+  CtConsensus a(0, 5, 3);
+  EXPECT_TRUE(a.restore(state(2)));
+  EXPECT_FALSE(a.restore(state(7)));
+}
+
 }  // namespace
 }  // namespace nucon

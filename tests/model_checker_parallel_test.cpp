@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "algo/mr_consensus.hpp"
 #include "core/anuc.hpp"
 
@@ -92,19 +90,6 @@ TEST(ModelCheckerParallel, PorChangesArrivalsButNotVerdictOrStates) {
   EXPECT_EQ(without.por_skipped, 0u);
   EXPECT_LT(with_por.states_deduped, without.states_deduped);
   EXPECT_EQ(without.states_reexpanded, 0u);
-}
-
-TEST(ModelCheckerParallel, NoPorEnvironmentOverrideForcesPorOff) {
-  McOptions opts = triple(8, 4'000'000);
-  opts.use_por = false;
-  const McResult reference = model_check_consensus(opts);
-
-  opts.use_por = true;
-  ::setenv("NUCON_MC_NO_POR", "1", 1);
-  const McResult overridden = model_check_consensus(opts);
-  ::unsetenv("NUCON_MC_NO_POR");
-
-  EXPECT_EQ(reference, overridden);
 }
 
 TEST(ModelCheckerParallel, FindsTripleContaminationAndWitnessReplays) {

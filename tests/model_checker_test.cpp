@@ -139,16 +139,32 @@ TEST(ModelChecker, RespectsStateBudget) {
   EXPECT_LE(result.states_explored, 501u);
 }
 
-// FromScratchConsensus has no save_state, and its snapshot() covers only
-// its MR component: a search deduplicated on it would prune configurations
-// whose election and Sigma state differ. The engine refuses it instead.
+/// A consensus automaton without save_state: it decides its proposal on
+/// its first step.
+class Stateless final : public ConsensusAutomaton {
+ public:
+  explicit Stateless(Value v) : v_(v) {}
+  void step(const Incoming*, const FdValue&, std::vector<Outgoing>&) override {
+    decided_ = v_;
+  }
+  [[nodiscard]] std::optional<Value> decision() const override {
+    return decided_;
+  }
+
+ private:
+  Value v_;
+  std::optional<Value> decided_;
+};
+
+// A search deduplicated on anything less than the complete state could
+// prune configurations that differ; the engine refuses such automata.
 TEST(ModelChecker, RefusesAutomataWithoutSaveState) {
   McOptions opts;
-  opts.n = 3;
-  opts.make = make_from_scratch(3, 1);
-  opts.proposals = {0, 1, 1};
+  opts.n = 2;
+  opts.make = [](Pid, Value v) { return std::make_unique<Stateless>(v); };
+  opts.proposals = {0, 1};
   opts.fd = [](Pid, int) { return FdValue{}; };
-  opts.max_depth = 6;
+  opts.max_depth = 4;
   try {
     (void)model_check_consensus(opts);
     FAIL() << "expected std::invalid_argument";
@@ -156,6 +172,21 @@ TEST(ModelChecker, RefusesAutomataWithoutSaveState) {
     EXPECT_NE(std::string(e.what()).find("process 0"), std::string::npos)
         << e.what();
   }
+}
+
+// The no-oracle stack's complete state spans its election, Sigma and MR
+// components, so the engine searches it like any registry automaton.
+TEST(ModelChecker, ExhaustsFromScratchViolationFree) {
+  McOptions opts;
+  opts.n = 3;
+  opts.make = make_from_scratch(3, 1);
+  opts.proposals = {0, 1, 1};
+  opts.fd = [](Pid, int) { return FdValue{}; };
+  opts.max_depth = 6;
+  const McResult result = model_check_consensus(opts);
+  EXPECT_TRUE(result.exhausted);
+  EXPECT_FALSE(result.violation_found) << result.violation;
+  EXPECT_GT(result.states_deduped, 0u);
 }
 
 }  // namespace

@@ -143,6 +143,49 @@ TEST(MrConsensus, RoundsAdvance) {
   EXPECT_LE(stats.decide_round, stats.max_round);
 }
 
+constexpr std::uint64_t kPastInt = (std::uint64_t{1} << 32) + 1;
+
+TEST(MrConsensus, MessagesForARoundPastIntAreDropped) {
+  // Cut to int, round 2^32 + 1 would be filed under round 1. The naive
+  // algorithm is the kFdQuorum mode, so both modes are checked.
+  for (const MrQuorumMode mode :
+       {MrQuorumMode::kMajority, MrQuorumMode::kFdQuorum}) {
+    MrConsensus a(0, 3, MrOptions{3, mode});
+    std::vector<Outgoing> out;
+    a.step(nullptr, FdValue{}, out);  // round 1, waiting for a leader
+    const auto before = a.snapshot();
+    for (const std::uint8_t tag : {1, 2, 3}) {  // LEAD, REP, PROP
+      ByteWriter w;
+      w.u8(tag);
+      w.uvarint(kPastInt);
+      w.svarint(5);
+      const Bytes msg = w.take();
+      const Incoming in{1, msg};
+      out.clear();
+      a.step(&in, FdValue{}, out);
+      EXPECT_TRUE(out.empty());
+      EXPECT_EQ(a.snapshot(), before) << "tag " << int{tag};
+    }
+  }
+}
+
+TEST(MrConsensus, RestoreRefusesARoundPastInt) {
+  MrConsensus a(0, 3, MrOptions{3, MrQuorumMode::kMajority});
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  ASSERT_EQ(saved.at(1), 0x01);  // x = 3 is one varint byte, then round 1
+  ByteWriter w;
+  w.raw(ByteView(saved).first(1));
+  w.uvarint(kPastInt);
+  w.raw(ByteView(saved).subspan(2));
+
+  MrConsensus b(0, 3, MrOptions{3, MrQuorumMode::kMajority});
+  EXPECT_FALSE(b.restore(w.take()));
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.round(), 1);
+}
+
 TEST(MrConsensus, SnapshotChangesWithState) {
   MrConsensus a(0, 3, MrOptions{3, MrQuorumMode::kMajority});
   const auto before = a.snapshot();

@@ -169,6 +169,23 @@ TEST(Smr, ReplicasAgreeOnOrderNotJustMembership) {
   for (std::size_t i = 0; i < common; ++i) EXPECT_EQ(log0[i], log1[i]) << i;
 }
 
+TEST(Smr, DecidedForAnInstancePastIntIsDropped) {
+  // Cut to int, instance 2^32 + 1 would be taken for instance 1.
+  ReplicatedLog replica(0, 3, {make_command(0, 1)}, make_mr_fd_quorum(3));
+  std::vector<Outgoing> out;
+  replica.step(nullptr, FdValue{}, out);
+  ASSERT_EQ(replica.instance(), 1);
+  ByteWriter w;
+  w.u8(1);  // DECIDED
+  w.uvarint((std::uint64_t{1} << 32) + 1);
+  w.svarint(make_command(1, 1));
+  const Bytes decided = w.take();
+  const Incoming in{1, decided};
+  replica.step(&in, FdValue{}, out);
+  EXPECT_TRUE(replica.log().empty());
+  EXPECT_EQ(replica.instance(), 1);
+}
+
 TEST(Smr, MakeCommandIsInjective) {
   EXPECT_NE(make_command(0, 1), make_command(1, 1));
   EXPECT_NE(make_command(2, 3), make_command(3, 2));

@@ -5,8 +5,8 @@
 
 #include "algo/mr_consensus.hpp"
 #include "consensus_test_util.hpp"
-#include "core/omega_election.hpp"
 #include "fd/history.hpp"
+#include "fd/impl/heartbeat.hpp"
 #include "fd/scripted.hpp"
 
 namespace nucon {
@@ -62,8 +62,15 @@ TEST(Scale, OmegaElectionAtThirtyTwoProcesses) {
   SchedulerOptions opts;
   opts.seed = 4;
   opts.max_steps = 200'000;
-  opts = with_emulation_recording(std::move(opts), emulated);
-  (void)simulate(fp, no_fd, make_omega_election(32), opts);
+  opts.record_run = false;
+  opts.on_step = [&emulated](const StepRecord& rec,
+                             const std::vector<std::unique_ptr<Automaton>>& a) {
+    const auto& hb = static_cast<const HeartbeatFd&>(
+        *a[static_cast<std::size_t>(rec.p)]);
+    emulated.add(rec.p, rec.t, hb.output());
+  };
+  (void)simulate(fp, no_fd, make_heartbeat_fd(32, HeartbeatMode::kOmega),
+                 opts);
 
   const auto result = check_omega(emulated, fp);
   EXPECT_TRUE(result.ok) << result.detail;

@@ -25,11 +25,10 @@ class GreeterAutomaton final : public Automaton {
     }
   }
 
-  [[nodiscard]] std::optional<Bytes> snapshot() const override {
-    ByteWriter w;
+  [[nodiscard]] bool save_state(ByteWriter& w) const override {
     w.uvarint(static_cast<std::uint64_t>(steps_));
     w.uvarint(static_cast<std::uint64_t>(received_));
-    return w.take();
+    return true;
   }
 
   int steps_ = 0;

@@ -84,6 +84,76 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.seed);
     });
 
+constexpr std::uint64_t kPastInt = (std::uint64_t{1} << 32) + 1;
+
+TEST(SigmaFromMajority, TagsForARoundPastIntAreDropped) {
+  // Cut to int, two round-(2^32 + 1) tags would complete round 1 and emit
+  // the quorum {1, 2}.
+  SigmaFromMajority a(0, 3, 1);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);  // round 1
+  const auto before = a.snapshot();
+  ByteWriter w;
+  w.uvarint(kPastInt);
+  const Bytes tag = w.take();
+  for (const Pid from : {1, 2}) {
+    const Incoming in{from, tag};
+    out.clear();
+    a.step(&in, FdValue{}, out);
+    EXPECT_TRUE(out.empty()) << from;
+  }
+  EXPECT_EQ(a.snapshot(), before);
+  EXPECT_EQ(a.emulated_output(), FdValue::of_quorum(ProcessSet::full(3)));
+}
+
+TEST(SigmaFromMajority, RestoreRefusesRoundsPastIntAndDeadRounds) {
+  SigmaFromMajority a(0, 3, 1);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  ByteWriter w;
+  w.uvarint(2);
+  const Bytes early = w.take();
+  const Incoming in{1, early};  // p1 is already in round 2
+  a.step(&in, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  // Round 1, one buffered round, round 2, then its senders.
+  ASSERT_EQ(saved.at(0), 0x01);
+  ASSERT_EQ(saved.at(1), 0x01);
+  ASSERT_EQ(saved.at(2), 0x02);
+  const auto with_byte = [&saved](std::size_t at, std::uint64_t v) {
+    ByteWriter b;
+    b.raw(ByteView(saved).first(at));
+    b.uvarint(v);
+    b.raw(ByteView(saved).subspan(at + 1));
+    return b.take();
+  };
+
+  SigmaFromMajority b(0, 3, 1);
+  EXPECT_FALSE(b.restore(with_byte(0, kPastInt)));
+  EXPECT_FALSE(b.restore(with_byte(2, kPastInt)));
+  EXPECT_FALSE(b.restore(with_byte(2, 0)));  // a round already over
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.round(), 1);
+  EXPECT_EQ(b.snapshot(), saved);
+}
+
+TEST(SigmaFromMajority, SavedStateHoldsOnlyLiveRounds) {
+  // Tags that arrive after their round ended are dropped, so the saved
+  // state stays a few live rounds however many rounds have passed.
+  const FailurePattern fp(3);
+  ScriptedOracle no_fd([](Pid, Time) { return FdValue{}; });
+  SchedulerOptions opts;
+  opts.seed = 1;
+  opts.max_steps = 6000;
+  const SimResult sim =
+      simulate(fp, no_fd, make_sigma_from_majority(3, 1), opts);
+  for (Pid p = 0; p < 3; ++p) {
+    const Automaton& a = *sim.automata[static_cast<std::size_t>(p)];
+    EXPECT_GT(static_cast<const SigmaFromMajority&>(a).round(), 100) << p;
+    EXPECT_LT(a.snapshot()->size(), 64u) << p;
+  }
+}
+
 TEST(SigmaFromMajority, RoundsKeepAdvancing) {
   FailurePattern fp(5);
   fp.set_crash(4, 20);
