@@ -141,7 +141,7 @@ inline void record_sweep(std::string name, std::string spec,
 }
 
 /// Captures one profiled workload's per-phase breakdown as a report
-/// section (no-op for an empty collector, e.g. NUCON_DISABLE_PROFILING).
+/// section (no-op for an empty collector, which recorded no step).
 inline void record_profile(std::string name,
                            const prof::ProfileCollector& collector) {
   if (collector.empty()) return;

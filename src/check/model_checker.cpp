@@ -1,11 +1,13 @@
 #include "check/model_checker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <deque>
 #include <future>
 #include <memory>
+#include <map>
+#include <mutex>
+#include <thread>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -382,7 +384,6 @@ struct StepMemo {
 
   using ValPtr = std::shared_ptr<const Val>;
 
-  std::uint64_t tag = 0;
   std::unordered_map<Key, ValPtr, KeyHash> map;
 };
 
@@ -451,47 +452,75 @@ struct Expansion {
   std::size_t por_skips = 0;
 };
 
-/// Per-thread reusable automaton instances: restore_state overwrites the
-/// complete state, so one instance per process serves every expansion on
-/// the thread — no construct/destroy per candidate. The tag (unique per
-/// model_check_consensus call) guards against a pool shared by concurrent
-/// runs with different factories.
-ConsensusAutomaton& scratch_automaton(const McOptions& opts,
-                                      std::uint64_t run_tag, Pid p) {
-  struct Scratch {
-    std::uint64_t tag = 0;
-    std::vector<std::unique_ptr<ConsensusAutomaton>> per_pid;
-  };
-  thread_local Scratch s;
-  if (s.tag != run_tag) {
-    s.per_pid.clear();
-    s.per_pid.resize(static_cast<std::size_t>(opts.n));
-    s.tag = run_tag;
-  }
-  auto& slot = s.per_pid[static_cast<std::size_t>(p)];
-  if (!slot) slot = opts.make(p, opts.proposals[static_cast<std::size_t>(p)]);
-  return *slot;
-}
+/// One expanding thread's reusable state, owned by the search and freed
+/// with it. restore_state overwrites an automaton's complete state, so one
+/// instance per process serves every expansion the Worker runs, with no
+/// construct/destroy per candidate. The memo caches a pure function, so
+/// which Worker expands a chunk changes no result.
+struct Worker {
+  explicit Worker(Pid n) : automata(static_cast<std::size_t>(n)) {}
 
-SectionPtr encode_section(const Automaton& a) {
-  thread_local ByteWriter w;
-  w.reset();
-  const bool ok = a.save_state(w);
-  assert(ok);
-  (void)ok;
-  auto section = std::make_shared<Section>();
-  section->bytes = w.buffer();
-  const Key128 h = content_hash(section->bytes);
-  section->h1 = h.lo;
-  section->h2 = h.hi;
-  return section;
-}
+  std::vector<std::unique_ptr<ConsensusAutomaton>> automata;  // made lazily
+  ByteWriter encoder;
+  std::vector<McStep> chosen;  // the expanded steps, aligned with chosen_wire
+  std::vector<int> chosen_wire;
+  std::vector<Outgoing> sends;
+  StepMemo memo;
+
+  ConsensusAutomaton& automaton(const McOptions& opts, Pid p) {
+    auto& slot = automata[static_cast<std::size_t>(p)];
+    if (!slot) slot = opts.make(p, opts.proposals[static_cast<std::size_t>(p)]);
+    return *slot;
+  }
+
+  SectionPtr encode_section(const Automaton& a) {
+    encoder.reset();
+    const bool ok = a.save_state(encoder);
+    assert(ok);
+    (void)ok;
+    auto section = std::make_shared<Section>();
+    section->bytes = encoder.buffer();
+    const Key128 h = content_hash(section->bytes);
+    section->h1 = h.lo;
+    section->h2 = h.hi;
+    return section;
+  }
+};
+
+/// The Workers of one search, one per expanding thread: a thread keeps
+/// its Worker for the whole search, so the memo it fills stays in that
+/// thread's caches and allocator arena.
+class WorkerList {
+ public:
+  explicit WorkerList(Pid n) : n_(n) {}
+
+  /// The calling thread's Worker, made on its first call.
+  Worker& mine() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::unique_ptr<Worker>& w = by_thread_[std::this_thread::get_id()];
+    if (!w) w = std::make_unique<Worker>(n_);
+    return *w;
+  }
+
+  std::vector<std::unique_ptr<Worker>> take_all() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::unique_ptr<Worker>> all;
+    for (auto& [thread, w] : by_thread_) all.push_back(std::move(w));
+    by_thread_.clear();
+    return all;
+  }
+
+ private:
+  const Pid n_;
+  std::mutex mu_;
+  std::map<std::thread::id, std::unique_ptr<Worker>> by_thread_;
+};
 
 /// Computes one frontier item's children: pure function of the item (the
 /// pool is read-only here), so the parallel layer can run it on any worker
 /// in any order.
-Expansion expand(const McOptions& opts, std::uint64_t run_tag,
-                 const PayloadPool& pool, const WorkItem& item) {
+Expansion expand(const McOptions& opts, const PayloadPool& pool,
+                 const WorkItem& item, Worker& worker) {
   Expansion out;
   const Config& cfg = item.cfg;
 
@@ -499,8 +528,8 @@ Expansion expand(const McOptions& opts, std::uint64_t run_tag,
   // canonical order (== ascending packed step id): per process its lambda
   // step, then its pending deliveries in (sender, seq) order. Scratch
   // vectors are reused across calls on the same worker.
-  thread_local std::vector<McStep> chosen;
-  thread_local std::vector<int> chosen_wire;
+  std::vector<McStep>& chosen = worker.chosen;
+  std::vector<int>& chosen_wire = worker.chosen_wire;
   chosen.clear();
   chosen_wire.clear();
 
@@ -565,12 +594,8 @@ Expansion expand(const McOptions& opts, std::uint64_t run_tag,
   }
 
   out.cands.reserve(chosen.size());
-  thread_local std::vector<Outgoing> sends;
-  thread_local StepMemo memo;
-  if (memo.tag != run_tag) {
-    memo.map.clear();
-    memo.tag = run_tag;
-  }
+  std::vector<Outgoing>& sends = worker.sends;
+  StepMemo& memo = worker.memo;
   // Backstop against unbounded growth on huge runs; re-warming is cheap
   // relative to the memory.
   if (memo.map.size() > (8u << 20)) memo.map.clear();
@@ -595,7 +620,7 @@ Expansion expand(const McOptions& opts, std::uint64_t run_tag,
 
     const auto [mit, fresh] = memo.map.try_emplace(mk);
     if (fresh) {
-      ConsensusAutomaton& child = scratch_automaton(opts, run_tag, step.p);
+      ConsensusAutomaton& child = worker.automaton(opts, step.p);
       const bool ok = child.restore(before.bytes);
       assert(ok && "restore_state must accept its own save_state encoding");
       (void)ok;
@@ -612,7 +637,7 @@ Expansion expand(const McOptions& opts, std::uint64_t run_tag,
         child.step(nullptr, d, sends);
       }
       auto v = std::make_shared<StepMemo::Val>();
-      v->section = encode_section(child);
+      v->section = worker.encode_section(child);
       v->decision = child.decision();
       // A broadcast shares one payload buffer across destinations; hash
       // the content once.
@@ -772,10 +797,9 @@ struct NodeMeta {
 /// budget accounting, and violation selection are identical no matter how
 /// many threads produced the expansions.
 struct Engine {
-  Engine(const McOptions& o, std::uint64_t tag) : opts(o), run_tag(tag) {}
+  explicit Engine(const McOptions& o) : opts(o) {}
 
   const McOptions& opts;
-  std::uint64_t run_tag;
 
   McResult result;
   Visited visited;
@@ -881,9 +905,9 @@ struct Engine {
 /// order; workers only ever run the pure expand(), so the schedule of
 /// workers is invisible to the result.
 void parallel_layer(Engine& engine, exp::ThreadPool& pool,
+                    WorkerList& per_thread,
                     const std::vector<WorkItem>& frontier) {
   const McOptions& opts = engine.opts;
-  const std::uint64_t run_tag = engine.run_tag;
   const std::size_t workers = std::max(1u, pool.size());
   const std::size_t chunk =
       std::clamp<std::size_t>(frontier.size() / (workers * 4), 1, 256);
@@ -900,11 +924,12 @@ void parallel_layer(Engine& engine, exp::ThreadPool& pool,
     submitted = end;
     inflight.emplace_back(
         begin,
-        pool.submit([&opts, run_tag, &payloads, &frontier, begin, end] {
+        pool.submit([&opts, &per_thread, &payloads, &frontier, begin, end] {
+          Worker& worker = per_thread.mine();
           std::vector<Expansion> out;
           out.reserve(end - begin);
           for (std::size_t i = begin; i < end; ++i) {
-            out.push_back(expand(opts, run_tag, payloads, frontier[i]));
+            out.push_back(expand(opts, payloads, frontier[i], worker));
           }
           return out;
         }));
@@ -1134,8 +1159,7 @@ McResult model_check_consensus(const McOptions& opts) {
     }
   }
 
-  static std::atomic<std::uint64_t> run_counter{0};
-  Engine engine(opts, ++run_counter);
+  Engine engine(opts);
   engine.result.states_explored = 1;
   engine.meta.push_back({});
   root.key = key_of(root);
@@ -1147,12 +1171,10 @@ McResult model_check_consensus(const McOptions& opts) {
     return engine.result;
   }
 
-  std::unique_ptr<exp::ThreadPool> owned_pool;
-  exp::ThreadPool* pool = opts.pool;
-  if (pool == nullptr && opts.threads > 1) {
-    owned_pool = std::make_unique<exp::ThreadPool>(opts.threads);
-    pool = owned_pool.get();
-  }
+  // Declared before the pool, so the pool drains before they are freed.
+  WorkerList workers(opts.n);
+  std::unique_ptr<exp::ThreadPool> pool;
+  if (opts.threads > 1) pool = std::make_unique<exp::ThreadPool>(opts.threads);
 
   std::vector<WorkItem> frontier;
   if (opts.max_depth > 0) {
@@ -1169,16 +1191,25 @@ McResult model_check_consensus(const McOptions& opts) {
     engine.visited.reserve(engine.result.states_explored +
                            4 * frontier.size());
     if (pool != nullptr && frontier.size() > 1) {
-      parallel_layer(engine, *pool, frontier);
+      parallel_layer(engine, *pool, workers, frontier);
     } else {
+      Worker& worker = workers.mine();
       for (const WorkItem& item : frontier) {
         if (engine.stop) break;
-        Expansion e = expand(opts, engine.run_tag, engine.payloads, item);
+        Expansion e = expand(opts, engine.payloads, item, worker);
         engine.merge(item, e);
       }
     }
     frontier = std::move(engine.next);
     engine.next = {};
+  }
+
+  // A Worker's memo holds hundreds of thousands of cold allocations at
+  // depth 10; the pool's threads free them in parallel while it drains.
+  if (pool != nullptr) {
+    for (std::unique_ptr<Worker>& w : workers.take_all()) {
+      (void)pool->submit([w = std::move(w)]() mutable { w.reset(); });
+    }
   }
 
   engine.result.exhausted =

@@ -62,10 +62,6 @@
 #include "sim/failure_pattern.hpp"
 #include "sim/message.hpp"
 
-namespace nucon::exp {
-class ThreadPool;
-}  // namespace nucon::exp
-
 namespace nucon {
 
 struct McOptions {
@@ -80,13 +76,10 @@ struct McOptions {
   /// is pairwise decision agreement (uniform == nonuniform here).
   int max_depth = 20;
   std::size_t max_states = 1'000'000;
-  /// Worker threads for frontier expansion; 1 runs serial. The result is
-  /// bit-identical for any thread count.
+  /// Worker threads for frontier expansion; 1 runs serial, more run on a
+  /// pool created for the call. The result is bit-identical for any
+  /// thread count.
   unsigned threads = 1;
-  /// Optional external pool to expand on (takes precedence over
-  /// `threads`; the caller keeps ownership). When null and threads > 1 a
-  /// pool is created for the call.
-  exp::ThreadPool* pool = nullptr;
   /// Sleep-set partial-order reduction (see file comment).
   bool use_por = true;
 };
@@ -139,7 +132,7 @@ struct McResult {
 /// re-materializes every configuration by replaying the whole path and
 /// dedups on a 64-bit hash of the automata's save_state bytes. Kept for
 /// the bench_model speedup comparison and for cross-validating verdicts;
-/// `threads`, `pool`, and `use_por` are ignored, and witness deliveries
+/// `threads` and `use_por` are ignored, and witness deliveries
 /// index the FIFO buffer order rather than the canonical order.
 [[nodiscard]] McResult model_check_consensus_replay_baseline(
     const McOptions& opts);

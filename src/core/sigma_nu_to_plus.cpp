@@ -1,5 +1,8 @@
 #include "core/sigma_nu_to_plus.hpp"
 
+#include <cstdint>
+#include <limits>
+
 namespace nucon {
 
 SigmaNuToPlus::SigmaNuToPlus(Pid self, Pid n, int gossip_every)
@@ -60,12 +63,25 @@ bool SigmaNuToPlus::save_state(ByteWriter& w) const {
 bool SigmaNuToPlus::restore_state(ByteReader& r) {
   if (!core_.restore(r)) return false;
   const auto output = r.process_set(n_);
-  const auto uq = r.svarint();
-  const auto uk = r.uvarint();
+  if (!output) return false;
+  // The anchor u_p is NodeRef{} before the first step (line 13 sets it) and
+  // one of p's own samples afterwards.
+  NodeRef u;
+  if (core_.k() == 0) {
+    if (r.svarint() != u.q || r.uvarint() != u.k) return false;
+  } else {
+    const auto uq = r.pid();
+    const auto uk = r.uvarint();
+    if (!uq || !uk || *uk > std::numeric_limits<std::uint32_t>::max()) {
+      return false;
+    }
+    u = NodeRef{*uq, static_cast<std::uint32_t>(*uk)};
+    if (u.q != core_.self() || !core_.dag().contains(u)) return false;
+  }
   const auto outputs = r.svarint();
-  if (!output || !uq || !uk || !outputs) return false;
+  if (!outputs || *outputs < 0) return false;
   output_ = *output;
-  u_ = NodeRef{static_cast<Pid>(*uq), static_cast<std::uint32_t>(*uk)};
+  u_ = u;
   outputs_ = *outputs;
   return true;
 }

@@ -54,24 +54,6 @@ const AlgoInfo& info_of(Algo a) {
   throw std::invalid_argument("unknown Algo");
 }
 
-const char* mode_name(FaultyQuorumBehavior b) {
-  switch (b) {
-    case FaultyQuorumBehavior::kBenign:
-      return "benign";
-    case FaultyQuorumBehavior::kNoise:
-      return "noise";
-    default:
-      return "adversarial";
-  }
-}
-
-std::optional<FaultyQuorumBehavior> parse_mode(const std::string& s) {
-  if (s == "benign") return FaultyQuorumBehavior::kBenign;
-  if (s == "noise") return FaultyQuorumBehavior::kNoise;
-  if (s == "adversarial") return FaultyQuorumBehavior::kAdversarialDisjoint;
-  return std::nullopt;
-}
-
 std::optional<FdSource> parse_fd_source(const std::string& s) {
   if (s == "generated") return FdSource::kGenerated;
   if (s == "implemented") return FdSource::kImplemented;
@@ -199,6 +181,24 @@ std::optional<Algo> parse_algo(const std::string& name) {
   for (const AlgoInfo& i : kAlgoTable) {
     if (name == i.name) return i.algo;
   }
+  return std::nullopt;
+}
+
+const char* mode_name(FaultyQuorumBehavior b) {
+  switch (b) {
+    case FaultyQuorumBehavior::kBenign:
+      return "benign";
+    case FaultyQuorumBehavior::kNoise:
+      return "noise";
+    default:
+      return "adversarial";
+  }
+}
+
+std::optional<FaultyQuorumBehavior> parse_mode(const std::string& name) {
+  if (name == "benign") return FaultyQuorumBehavior::kBenign;
+  if (name == "noise") return FaultyQuorumBehavior::kNoise;
+  if (name == "adversarial") return FaultyQuorumBehavior::kAdversarialDisjoint;
   return std::nullopt;
 }
 
@@ -490,13 +490,7 @@ TracedRun trace_point(const SweepPoint& pt, trace::TraceRecorder::Options opts) 
   TracedRun out;
   out.stats = run_consensus(setup.fp, setup.oracle.top(), setup.make,
                             setup.proposals, setup.opts);
-  const ConsensusVerdict& v = out.stats.verdict;
-  recorder.annotate(
-      std::string("{\"k\":\"verdict\",\"termination\":") +
-      (v.termination ? "true" : "false") + ",\"validity\":" +
-      (v.validity ? "true" : "false") + ",\"nonuniform_agreement\":" +
-      (v.nonuniform_agreement ? "true" : "false") + ",\"uniform_agreement\":" +
-      (v.uniform_agreement ? "true" : "false") + "}");
+  recorder.annotate(trace::verdict_json(out.stats.verdict));
   out.jsonl = recorder.jsonl();
   return out;
 }

@@ -54,6 +54,12 @@ enum class Algo {
 [[nodiscard]] const char* algo_name(Algo a);
 [[nodiscard]] std::optional<Algo> parse_algo(const std::string& name);
 
+/// A faulty-quorum mode's name in artifacts and genomes: "benign", "noise"
+/// or "adversarial".
+[[nodiscard]] const char* mode_name(FaultyQuorumBehavior b);
+[[nodiscard]] std::optional<FaultyQuorumBehavior> parse_mode(
+    const std::string& name);
+
 /// What a correct run of the algorithm must satisfy. kNone marks algorithms
 /// that are *expected* to misbehave (the naive substitution), so their
 /// violations are counted but do not spawn replay artifacts.

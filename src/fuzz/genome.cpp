@@ -12,24 +12,6 @@
 namespace nucon::fuzz {
 namespace {
 
-const char* mode_name(FaultyQuorumBehavior b) {
-  switch (b) {
-    case FaultyQuorumBehavior::kBenign:
-      return "benign";
-    case FaultyQuorumBehavior::kNoise:
-      return "noise";
-    default:
-      return "adversarial";
-  }
-}
-
-std::optional<FaultyQuorumBehavior> parse_mode(const std::string& s) {
-  if (s == "benign") return FaultyQuorumBehavior::kBenign;
-  if (s == "noise") return FaultyQuorumBehavior::kNoise;
-  if (s == "adversarial") return FaultyQuorumBehavior::kAdversarialDisjoint;
-  return std::nullopt;
-}
-
 const char* kind_name(PerturbKind k) {
   switch (k) {
     case PerturbKind::kLeader:
@@ -131,10 +113,10 @@ class PerturbedOracle final : public Oracle {
 std::string artifact_of(const Genome& g) {
   std::ostringstream os;
   os << "fuzz algo=" << exp::algo_name(g.target.algo) << " n=" << g.target.n
-     << " stab=" << g.target.stabilize << " mode="
-     << mode_name(g.target.faulty_mode) << " steps=" << g.target.max_steps
-     << " seed=" << g.seed << " genes=" << g.deliveries.size() << "+"
-     << g.fd_perturbs.size();
+     << " stab=" << g.target.stabilize
+     << " mode=" << exp::mode_name(g.target.faulty_mode)
+     << " steps=" << g.target.max_steps << " seed=" << g.seed
+     << " genes=" << g.deliveries.size() << "+" << g.fd_perturbs.size();
   return os.str();
 }
 
@@ -156,7 +138,7 @@ std::string Genome::to_string() const {
   os << "algo " << exp::algo_name(target.algo) << "\n";
   os << "n " << target.n << "\n";
   os << "stabilize " << target.stabilize << "\n";
-  os << "mode " << mode_name(target.faulty_mode) << "\n";
+  os << "mode " << exp::mode_name(target.faulty_mode) << "\n";
   os << "max-steps " << target.max_steps << "\n";
   os << "seed " << seed << "\n";
   if (!crashes.empty()) {
@@ -211,7 +193,7 @@ std::optional<Genome> Genome::parse(const std::string& text) {
     } else if (key == "mode") {
       std::string name;
       ls >> name;
-      const auto m = parse_mode(name);
+      const auto m = exp::parse_mode(name);
       if (!m) return std::nullopt;
       g.target.faulty_mode = *m;
     } else if (key == "max-steps") {
@@ -338,12 +320,7 @@ ExecutionResult execute_genome(const Genome& g, const ExecOptions& eopts) {
                     proposals, opts);
 
   const ConsensusVerdict& v = result.stats.verdict;
-  recorder.annotate(
-      std::string("{\"k\":\"verdict\",\"termination\":") +
-      (v.termination ? "true" : "false") + ",\"validity\":" +
-      (v.validity ? "true" : "false") + ",\"nonuniform_agreement\":" +
-      (v.nonuniform_agreement ? "true" : "false") + ",\"uniform_agreement\":" +
-      (v.uniform_agreement ? "true" : "false") + "}");
+  recorder.annotate(trace::verdict_json(v));
   result.trace_jsonl = recorder.jsonl();
 
   std::sort(result.state_keys.begin(), result.state_keys.end());

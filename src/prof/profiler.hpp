@@ -16,11 +16,6 @@
 // nondeterministic: they never enter the registry and are emitted into
 // reports only behind include_timings, exactly like wall_seconds
 // (obs::profile_section_of).
-//
-// The probes compile out entirely under -DNUCON_DISABLE_PROFILING (CMake
-// option of the same name): StepProbe's methods become empty inlines and
-// the NUCON_PROF macro family expands to ((void)0), leaving the scheduler
-// binary with no probe code at all.
 #pragma once
 
 #include <array>
@@ -130,21 +125,6 @@ class ProfileCollector {
   std::array<PhaseStats, kPhaseCount> phases_{};
 };
 
-#ifdef NUCON_DISABLE_PROFILING
-
-class StepProbe {
- public:
-  explicit StepProbe(ProfileCollector*) {}
-  void begin() {}
-  void lap(Phase) {}
-  void finish() {}
-};
-
-#define NUCON_PROF(collector, call) ((void)0)
-#define NUCON_PROF_SCOPE(collector, phase) ((void)0)
-
-#else  // profiling compiled in
-
 /// Lap-style step timer: begin() stamps the envelope start, each lap(ph)
 /// charges the interval since the previous boundary to `ph`, finish()
 /// charges begin()..now to kStep. Because consecutive laps share their
@@ -180,41 +160,5 @@ class StepProbe {
   std::uint64_t start_ = 0;
   std::uint64_t last_ = 0;
 };
-
-/// Null-check guard, NUCON_TRACE's pattern:
-///   NUCON_PROF(collector, record(Phase::kStep, dt));
-#define NUCON_PROF(collector, call)  \
-  do {                               \
-    if (collector) (collector)->call; \
-  } while (0)
-
-namespace detail {
-/// RAII probe for coarse, non-lap scopes (bench harnesses, tests).
-class ScopedProbe {
- public:
-  ScopedProbe(ProfileCollector* c, Phase ph)
-      : c_(c), ph_(ph), t0_(c ? ticks_now() : 0) {}
-  ~ScopedProbe() {
-    if (c_ == nullptr) return;
-    const std::uint64_t now = ticks_now();
-    c_->record(ph_, now >= t0_ ? now - t0_ : 0);  // clamp, as StepProbe::lap
-  }
-  ScopedProbe(const ScopedProbe&) = delete;
-  ScopedProbe& operator=(const ScopedProbe&) = delete;
-
- private:
-  ProfileCollector* c_;
-  Phase ph_;
-  std::uint64_t t0_;
-};
-}  // namespace detail
-
-#define NUCON_PROF_CAT2(a, b) a##b
-#define NUCON_PROF_CAT(a, b) NUCON_PROF_CAT2(a, b)
-#define NUCON_PROF_SCOPE(collector, phase)                 \
-  ::nucon::prof::detail::ScopedProbe NUCON_PROF_CAT(       \
-      nucon_prof_scope_, __LINE__)(collector, phase)
-
-#endif  // NUCON_DISABLE_PROFILING
 
 }  // namespace nucon::prof

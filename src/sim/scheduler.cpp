@@ -115,13 +115,10 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
       opts.inject_delivery ? &metrics.counter("scheduler.injected_choices")
                            : nullptr;
 
-#ifndef NUCON_DISABLE_TRACING
   const bool hash_states =
       opts.trace != nullptr && opts.trace->options().state_hashes;
   std::vector<std::uint64_t> last_state_hash(static_cast<std::size_t>(n), 0);
-#endif
 
-#ifndef NUCON_DISABLE_PROFILING
   // Collectors may be reused across runs (the n-scaling bench accumulates
   // per grid row), so the deterministic fold at the end charges only the
   // calls THIS run added.
@@ -132,7 +129,6 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
           opts.profile->phase(static_cast<prof::Phase>(i)).calls;
     }
   }
-#endif
 
   Rng rng(opts.seed);
   MessageBuffer buffer;
@@ -150,7 +146,7 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
   std::vector<Outgoing> sends;
 
   // Lap-based step timer: null collector = one predictable branch per
-  // phase boundary; NUCON_DISABLE_PROFILING = no probe code at all.
+  // phase boundary.
   prof::StepProbe probe(opts.profile);
 
   while (steps_taken < opts.max_steps) {
@@ -239,7 +235,6 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
       }
       probe.lap(prof::Phase::kPayloadEncode);
 
-#ifndef NUCON_DISABLE_TRACING
       if (hash_states) {
         const auto snap =
             result.automata[static_cast<std::size_t>(p)]->snapshot();
@@ -252,7 +247,6 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
           }
         }
       }
-#endif
 
       ConsensusAutomaton* c = consensus[static_cast<std::size_t>(p)];
       if (c != nullptr && !decided[static_cast<std::size_t>(p)]) {
@@ -298,7 +292,6 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
   metrics.counter("scheduler.undelivered_at_end") =
       static_cast<std::int64_t>(result.undelivered_at_end);
 
-#ifndef NUCON_DISABLE_PROFILING
   // Deterministic side of the profile: per-phase call counts are a pure
   // function of the run, so they join the registry (and thus the sweep
   // fold) as `prof.<phase>.calls`. Registered only when a collector is
@@ -314,7 +307,6 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
           prof_calls_before[static_cast<std::size_t>(i)];
     }
   }
-#endif
   return result;
 }
 

@@ -98,8 +98,7 @@ struct SchedulerOptions {
 
   /// Optional structured trace recorder (trace/trace_recorder.hpp). The
   /// scheduler feeds it typed step/send/deliver/oracle-query/decide events;
-  /// null costs one pointer test per hook site (and nothing at all when the
-  /// library is built with NUCON_DISABLE_TRACING).
+  /// null costs one pointer test per hook site.
   trace::TraceRecorder* trace = nullptr;
 
   /// Optional hot-path profile collector (prof/profiler.hpp). When set,
@@ -108,8 +107,7 @@ struct SchedulerOptions {
   /// per-phase call counts accumulated *during this run* are folded into
   /// SimResult::metrics as deterministic `prof.<phase>.calls` counters
   /// (lazily registered, so unprofiled runs keep byte-identical metrics).
-  /// Null costs one pointer test per phase boundary; under
-  /// NUCON_DISABLE_PROFILING the probes vanish from the binary entirely.
+  /// Null costs one pointer test per phase boundary.
   prof::ProfileCollector* profile = nullptr;
 };
 

@@ -41,6 +41,14 @@ std::string fd_json(const FdValue& d) {
   return out + "}";
 }
 
+std::string verdict_json(const ConsensusVerdict& v) {
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
+  return std::string("{\"k\":\"verdict\",\"termination\":") +
+         flag(v.termination) + ",\"validity\":" + flag(v.validity) +
+         ",\"nonuniform_agreement\":" + flag(v.nonuniform_agreement) +
+         ",\"uniform_agreement\":" + flag(v.uniform_agreement) + "}";
+}
+
 void TraceRecorder::line(std::string s) {
   out_ += s;
   out_ += '\n';

@@ -9,10 +9,8 @@
 // makes a trace attached to a failing sweep job trustworthy evidence.
 //
 // Cost discipline: every scheduler hook goes through NUCON_TRACE, which
-// is a single null-pointer test when tracing is compiled in (the default)
-// and nothing at all when the library is built with
-// -DNUCON_DISABLE_TRACING (CMake option NUCON_DISABLE_TRACING). Runs
-// without a recorder attached therefore pay near zero.
+// is a single null-pointer test, so runs without a recorder attached pay
+// near zero.
 //
 // The line format is parsed back by trace_reader.hpp and rendered by
 // tools/trace_dump; the schema is documented in EXPERIMENTS.md.
@@ -20,21 +18,18 @@
 
 #include <string>
 
+#include "check/consensus_checker.hpp"
 #include "sim/message.hpp"
 #include "sim/run.hpp"
 
 namespace nucon::trace {
 
 /// Hook guard: `NUCON_TRACE(opts.trace, on_send(p, m));` expands to a
-/// null-check + call, or to nothing under NUCON_DISABLE_TRACING.
-#ifdef NUCON_DISABLE_TRACING
-#define NUCON_TRACE(recorder, call) ((void)0)
-#else
+/// null-check + call.
 #define NUCON_TRACE(recorder, call)     \
   do {                                  \
     if (recorder) (recorder)->call;     \
   } while (0)
-#endif
 
 struct RecorderOptions {
   /// Per-event-kind switches, all cheap; state hashes are the exception
@@ -98,5 +93,9 @@ class TraceRecorder {
 /// order leader, quorum, suspects. trace_reader renders parsed values
 /// back through it.
 [[nodiscard]] std::string fd_json(const FdValue& d);
+
+/// A trace's trailing `verdict` line: the four consensus properties, in
+/// the order termination, validity, nonuniform and uniform agreement.
+[[nodiscard]] std::string verdict_json(const ConsensusVerdict& v);
 
 }  // namespace nucon::trace

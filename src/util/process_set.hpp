@@ -10,9 +10,8 @@
 // has a fixed size, so it never reallocates and a null `hi_` means "all high
 // words are zero". Runs with n <= 64 — every paper experiment — never touch
 // the heap: the fast paths are a single predictable `hi_ == nullptr` test
-// away from the old one-word code. High blocks are recycled through a
-// thread-local free list so per-step transients (quorum copies, scratch sets)
-// do not hit the allocator at n > 64.
+// away from the old one-word code. A high block belongs to its set: it is
+// allocated with the set and freed with it, so no run leaves blocks behind.
 #pragma once
 
 #include <cassert>
@@ -20,8 +19,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 namespace nucon {
 
@@ -36,46 +33,6 @@ namespace detail {
 /// 64-bit words per set, and per heap block (all but the inline word).
 inline constexpr int kSetWords = kMaxProcesses / 64;
 inline constexpr int kHiWords = kSetWords - 1;
-
-/// Set once the thread's block pool has been destroyed (thread exit).
-/// Trivially destructible, so it stays readable after TLS teardown and
-/// acquire/release can fall back to plain new/delete.
-inline thread_local bool g_hi_pool_dead = false;
-
-struct HiBlockPool {
-  std::vector<std::uint64_t*> free_list;
-  ~HiBlockPool() {
-    for (std::uint64_t* b : free_list) delete[] b;
-    g_hi_pool_dead = true;
-  }
-};
-
-inline HiBlockPool& hi_pool() {
-  static thread_local HiBlockPool pool;
-  return pool;
-}
-
-/// A zero-filled block of kHiWords words.
-inline std::uint64_t* hi_acquire() {
-  if (!g_hi_pool_dead) {
-    HiBlockPool& pool = hi_pool();
-    if (!pool.free_list.empty()) {
-      std::uint64_t* b = pool.free_list.back();
-      pool.free_list.pop_back();
-      for (int i = 0; i < kHiWords; ++i) b[i] = 0;
-      return b;
-    }
-  }
-  return new std::uint64_t[kHiWords]();
-}
-
-inline void hi_release(std::uint64_t* b) {
-  if (g_hi_pool_dead) {
-    delete[] b;
-    return;
-  }
-  hi_pool().free_list.push_back(b);
-}
 
 }  // namespace detail
 
@@ -423,20 +380,14 @@ class ProcessSet {
     return true;
   }
 
+  /// A zero-filled block of kHiWords words.
   [[nodiscard]] static constexpr std::uint64_t* alloc_hi() {
-    if (std::is_constant_evaluated()) {
-      return new std::uint64_t[detail::kHiWords]();
-    }
-    return detail::hi_acquire();
+    return new std::uint64_t[detail::kHiWords]();
   }
 
   constexpr void drop_hi() {
     if (hi_ == nullptr) return;
-    if (std::is_constant_evaluated()) {
-      delete[] hi_;
-    } else {
-      detail::hi_release(hi_);
-    }
+    delete[] hi_;
     hi_ = nullptr;
   }
 

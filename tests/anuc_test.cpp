@@ -142,7 +142,9 @@ TEST(Anuc, DecisionIsIrrevocable) {
     const auto d = c->decision();
     auto& first = first_decision[static_cast<std::size_t>(rec.p)];
     if (d && !first) first = d;
-    if (d && first) EXPECT_EQ(d, first);  // never changes once set
+    if (d && first) {
+      EXPECT_EQ(d, first);  // never changes once set
+    }
   };
   const auto stats = run_consensus(fp, oracle.top(), make_anuc(3),
                                    {0, 1, 1}, opts);

@@ -1,19 +1,20 @@
-// A finished run leaves nothing on its thread's heap: every byte a run
-// allocates is freed by the time run_point returns, so no cache carries
-// one run's payloads or decodes into the next. Counts live heap bytes with
-// a replaced global operator new/delete, which is why this suite is a
-// binary of its own. Each allocation's size rides in a header in front of
-// the block (not malloc_usable_size), so the count is exact under the
-// sanitizers too.
-//
-// Kept to n <= 64: above that, ProcessSet's thread-local block pool keeps
-// freed blocks for reuse.
+// A finished run leaves nothing on its thread's heap: every byte a run or
+// a model-checker search allocates is freed by the time run_point or
+// model_check_consensus returns, so no cache carries one run's payloads,
+// decodes or transitions into the next. Counts live heap bytes with a
+// replaced global operator new/delete, which is why this suite is a binary
+// of its own. Each allocation's size rides in a header in front of the
+// block (not malloc_usable_size), so the count is exact under the
+// sanitizers too. Every case first runs a smaller job of the same kind, so
+// first-use statics are in place before the count starts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "check/model_checker.hpp"
+#include "core/anuc.hpp"
 #include "exp/sweep.hpp"
 
 namespace {
@@ -80,6 +81,59 @@ TEST(HermeticRun, AFinishedRunLeavesNothingOnItsThreadsHeap) {
   const std::int64_t before_stacked = live_bytes();
   (void)exp::run_point(stacked);
   EXPECT_EQ(live_bytes(), before_stacked);
+}
+
+// Above 64 processes every ProcessSet with a member past pid 63 holds a
+// heap block, so this run allocates and frees blocks on every step.
+TEST(HermeticRun, ARunPast64ProcessesLeavesNothingOnItsThreadsHeap) {
+  exp::SweepPoint wide = point(exp::Algo::kAnuc, 128);
+  wide.hold = wide.max_steps;  // post-GST: one quorum window
+  exp::SweepPoint warm_up = wide;
+  warm_up.max_steps = 50;
+  (void)exp::run_point(warm_up);
+
+  const std::int64_t before = live_bytes();
+  (void)exp::run_point(wide);
+  EXPECT_EQ(live_bytes(), before);
+}
+
+/// The model checker's reference search: A_nuc at n=3 under the §6.3
+/// split-quorum history (0 and 1 share quorum {0,1} under leader 0; 2 sits
+/// behind {2} and trusts itself).
+McOptions split_quorum_search(int depth, unsigned threads) {
+  McOptions opts;
+  opts.n = 3;
+  opts.make = make_anuc(3);
+  opts.proposals = {0, 0, 1};
+  opts.fd = [](Pid p, int /*own_step*/) {
+    FdValue v =
+        FdValue::of_quorum(p < 2 ? ProcessSet{0, 1} : ProcessSet::single(2));
+    v.set_leader(p < 2 ? 0 : 2);
+    return v;
+  };
+  opts.max_depth = depth;
+  opts.threads = threads;
+  return opts;
+}
+
+TEST(HermeticRun, ASerialSearchLeavesNothingOnItsThreadsHeap) {
+  (void)model_check_consensus(split_quorum_search(1, 1));
+
+  const std::int64_t before = live_bytes();
+  const std::size_t states =
+      model_check_consensus(split_quorum_search(6, 1)).states_explored;
+  EXPECT_EQ(live_bytes(), before);
+  EXPECT_GT(states, 100u);
+}
+
+TEST(HermeticRun, AParallelSearchLeavesNothingOnTheHeap) {
+  (void)model_check_consensus(split_quorum_search(2, 2));
+
+  const std::int64_t before = live_bytes();
+  const std::size_t states =
+      model_check_consensus(split_quorum_search(6, 2)).states_explored;
+  EXPECT_EQ(live_bytes(), before);
+  EXPECT_GT(states, 100u);
 }
 
 }  // namespace

@@ -94,8 +94,6 @@ TEST(Profiler, FoldCountsIntoRegistersCallsOnly) {
   EXPECT_EQ(m.counter_value("prof.oracle_sample.calls"), 0);
 }
 
-#ifndef NUCON_DISABLE_PROFILING
-
 TEST(Profiler, StepProbeLapsPartitionTheEnvelope) {
   prof::ProfileCollector c;
   prof::StepProbe probe(&c);
@@ -232,8 +230,6 @@ TEST(Profiler, SweepProfileIsThreadCountInvariant) {
   EXPECT_GT(
       a.aggregate.metrics.counter_value("prof.step.calls"), 0);
 }
-
-#endif  // NUCON_DISABLE_PROFILING
 
 TEST(Trend, DirectionClassification) {
   using prof::Direction;

@@ -65,8 +65,12 @@ TEST(ScheduleSim, ValidityHoldsInSimulatedSchedules) {
       simulate_chain(dag, chain, make_anuc(3), {0, 0, 0}, 1);
   const ChainSimOutcome ones =
       simulate_chain(dag, chain, make_anuc(3), {1, 1, 1}, 1);
-  if (zeros.observer_decided) EXPECT_EQ(zeros.decision, 0);
-  if (ones.observer_decided) EXPECT_EQ(ones.decision, 1);
+  if (zeros.observer_decided) {
+    EXPECT_EQ(zeros.decision, 0);
+  }
+  if (ones.observer_decided) {
+    EXPECT_EQ(ones.decision, 1);
+  }
   EXPECT_TRUE(zeros.observer_decided);
   EXPECT_TRUE(ones.observer_decided);
 }

@@ -117,7 +117,9 @@ TEST(Scheduler, ForcedDeliveryScanLengthIsMeasuredAndDeterministic) {
   const auto& scan = a.metrics.histograms().at("scheduler.pending_scan_length");
   EXPECT_EQ(scan.count(),
             a.metrics.counter_value("scheduler.forced_deliveries"));
-  if (scan.count() > 0) EXPECT_GE(scan.min(), 1);
+  if (scan.count() > 0) {
+    EXPECT_GE(scan.min(), 1);
+  }
 
   auto o2 = null_oracle();
   const SimResult b = simulate(fp, o2, make_greeter(4), quick(11, 2000));

@@ -8,6 +8,7 @@
 
 #include "consensus_test_util.hpp"
 #include "fd/history.hpp"
+#include "util/bytes.hpp"
 
 namespace nucon {
 namespace {
@@ -112,6 +113,62 @@ TEST(Boost, EventualOutputsShrinkToCorrect) {
 TEST(Boost, InitialOutputIsPi) {
   SigmaNuToPlus a(2, 5);
   EXPECT_EQ(a.emulated_output().quorum(), ProcessSet::full(5));
+}
+
+/// A saved state's last fields: the anchor u_p, then the output count.
+Bytes anchor_tail(std::int64_t q, std::uint64_t k, std::int64_t outputs) {
+  ByteWriter w;
+  w.svarint(q);
+  w.uvarint(k);
+  w.svarint(outputs);
+  return w.take();
+}
+
+/// `saved` with its trailing `old_tail` replaced by `new_tail`.
+Bytes with_tail(const Bytes& saved, const Bytes& old_tail,
+                const Bytes& new_tail) {
+  ByteWriter w;
+  w.raw(ByteView(saved).first(saved.size() - old_tail.size()));
+  w.raw(new_tail);
+  return w.take();
+}
+
+TEST(Boost, RestoreRefusesAnAnchorOutsideItsOwnSamples) {
+  // Alone behind quorum {0}, p0 emits at every step, so after three steps
+  // its anchor is its own third sample and it has emitted three times.
+  SigmaNuToPlus a(0, 3);
+  std::vector<Outgoing> out;
+  for (int i = 0; i < 3; ++i) {
+    a.step(nullptr, FdValue::of_quorum(ProcessSet{0}), out);
+  }
+  ASSERT_EQ(a.outputs_produced(), 3);
+  const Bytes saved = *a.snapshot();
+  const Bytes tail = anchor_tail(0, 3, 3);
+  ASSERT_GE(saved.size(), tail.size());
+  ASSERT_EQ(Bytes(saved.end() - tail.size(), saved.end()), tail);
+
+  const auto anchored = [&](std::int64_t q, std::uint64_t k,
+                            std::int64_t outputs) {
+    return with_tail(saved, tail, anchor_tail(q, k, outputs));
+  };
+
+  SigmaNuToPlus b(0, 3);
+  EXPECT_FALSE(b.restore(anchored(0, 100000, 3)));
+  EXPECT_FALSE(b.restore(anchored(0, (1ULL << 32) + 3, 3)));  // 3 mod 2^32
+  EXPECT_FALSE(b.restore(anchored(0, 0, 3)));
+  EXPECT_FALSE(b.restore(anchored(1, 1, 3)));  // p1 has no sample here
+  EXPECT_FALSE(b.restore(anchored(-1, 0, 3)));
+  EXPECT_FALSE(b.restore(anchored(0, 3, -1)));
+  EXPECT_TRUE(b.restore(anchored(0, 2, 3)));  // an earlier own sample
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.snapshot(), saved);
+
+  // Before its first step a process has no sample to anchor on.
+  const Bytes unstepped = *SigmaNuToPlus(0, 3).snapshot();
+  const Bytes none = anchor_tail(-1, 0, 0);
+  EXPECT_FALSE(b.restore(with_tail(unstepped, none, anchor_tail(0, 1, 0))));
+  ASSERT_TRUE(b.restore(unstepped));
+  EXPECT_EQ(b.snapshot(), unstepped);
 }
 
 }  // namespace
