@@ -2,16 +2,19 @@
 //
 // E10 validates Lemma 2.2 at scale (merge random disjoint partial runs and
 // replay); E16 is the bounded model-checking dichotomy at n=2; E17 measures
-// the incremental engine against the frozen replay-based baseline on the
-// n=3 reference space (both run to exhaustion, so they cover the identical
-// set of unique configurations and the unique-states/s ratio is the honest
-// speedup). The microbenchmarks cover the primitives everything else is
-// built on (ProcessSet ops, varint codec, replay).
+// the engine on the n=3 reference space, run to exhaustion at each depth:
+// unique states/s, peak RSS, and the dedup, POR and interning anatomy. The
+// microbenchmarks cover the primitives everything else is built on
+// (ProcessSet ops, varint codec, replay).
 //
 // NUCON_MODEL_QUICK=1 shrinks E17 to the depth-8 slice of the same space
-// for CI (scripts/bench-quick.sh); the full run uses depth 12.
+// for CI (scripts/bench-quick.sh); the full run adds depths 10 and 12.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdlib>
+#include <tuple>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "algo/mr_consensus.hpp"
@@ -56,49 +59,44 @@ std::pair<McResult, double> timed(F&& run) {
   return {std::move(r), std::chrono::duration<double>(t1 - t0).count()};
 }
 
-/// E17: the incremental/parallel/POR engine vs the frozen replay-based
-/// DFS baseline, both exhausting the n=3 reference space. The baseline's
-/// states_explored counts arrivals (its historical accounting), so its
-/// unique-state count is explored minus deduped; exhaustion makes the
-/// two engines' unique sets identical and the uniq/s ratio meaningful.
-void engine_speedup() {
-  const int depth = quick_grid() ? 8 : 12;
-  const McOptions o = reference_config(depth);
+/// The process's peak resident set so far, in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
-  const auto [eng, eng_s] = timed([&] { return model_check_consensus(o); });
-  const auto [base, base_s] =
-      timed([&] { return model_check_consensus_replay_baseline(o); });
+/// E17: the engine exhausting the n=3 reference space at growing depths.
+/// Peak RSS is the process's high-water mark after the row; the rows run
+/// in ascending depth and each search frees what it allocated, so a row's
+/// figure is its own search's peak (or an earlier, smaller row's).
+void engine_measurement() {
+  const std::vector<int> depths =
+      quick_grid() ? std::vector<int>{8} : std::vector<int>{8, 10, 12};
+  TextTable t({"depth", "unique_states", "arrivals", "peak", "seconds",
+               "states_per_sec", "peak_rss_mb"});
+  McResult eng;
+  double eng_s = 0;
+  for (const int depth : depths) {
+    std::tie(eng, eng_s) =
+        timed([&] { return model_check_consensus(reference_config(depth)); });
+    t.add_row({std::to_string(depth), std::to_string(eng.states_explored),
+               std::to_string(eng.states_explored + eng.states_deduped),
+               std::to_string(eng.peak_depth), TextTable::fmt(eng_s, 2),
+               TextTable::fmt(
+                   static_cast<double>(eng.states_explored) / eng_s, 0),
+               TextTable::fmt(peak_rss_mb(), 0)});
+  }
+  print_section("E17: the engine exhausting the reference space", t);
 
-  const auto base_unique = base.states_explored - base.states_deduped;
-  const double eng_rate = static_cast<double>(eng.states_explored) / eng_s;
-  const double base_rate = static_cast<double>(base_unique) / base_s;
+  // Where the time goes at the deepest row: dedup hits, POR pruning,
+  // reconciliation, and how few distinct components the configurations
+  // are built from.
   const auto eng_arrivals = eng.states_explored + eng.states_deduped;
-
-  TextTable t({"engine", "depth", "unique_states", "arrivals", "peak",
-               "seconds", "states_per_sec", "speedup"});
-  t.add_row({"incremental+por", std::to_string(depth),
-             std::to_string(eng.states_explored),
-             std::to_string(eng_arrivals), std::to_string(eng.peak_depth),
-             TextTable::fmt(eng_s, 2), TextTable::fmt(eng_rate, 0),
-             TextTable::fmt(eng_rate / base_rate, 1) + "x"});
-  t.add_row({"replay baseline", std::to_string(depth),
-             std::to_string(base_unique),
-             std::to_string(base.states_explored),
-             std::to_string(base.peak_depth), TextTable::fmt(base_s, 2),
-             TextTable::fmt(base_rate, 0), "1.0x"});
-  print_section("E17: incremental engine vs replay-based DFS baseline", t);
-
-  // Where the speedup comes from, and the cross-checks that it changed
-  // nothing: identical unique-state coverage and verdict, POR pruning
-  // arrivals without touching the reached set, zero half-key collisions.
+  const double eng_rate = static_cast<double>(eng.states_explored) / eng_s;
   TextTable d({"metric", "value"});
-  d.add_row({"exhausted (engine/baseline)",
-             std::string(eng.exhausted ? "yes" : "NO") + " / " +
-                 (base.exhausted ? "yes" : "NO")});
-  d.add_row({"unique states agree",
-             eng.states_explored == base_unique ? "yes" : "NO"});
-  d.add_row({"verdicts agree",
-             eng.violation_found == base.violation_found ? "yes" : "NO"});
+  d.add_row({"exhausted", eng.exhausted ? "yes" : "NO"});
+  d.add_row({"violation found", eng.violation_found ? "YES" : "no"});
   d.add_row({"dedup ratio (engine dupes/arrival)",
              TextTable::fmt(static_cast<double>(eng.states_deduped) /
                                 static_cast<double>(eng_arrivals),
@@ -111,15 +109,14 @@ void engine_speedup() {
                       3)});
   d.add_row({"reexpanded (por/caching reconciliation)",
              std::to_string(eng.states_reexpanded)});
-  d.add_row({"hash collisions (64-bit halves)",
+  d.add_row({"sections interned", std::to_string(eng.sections_interned)});
+  d.add_row({"payloads interned", std::to_string(eng.payloads_interned)});
+  d.add_row({"hash collisions (equal keys, kept apart)",
              std::to_string(eng.hash_collisions)});
   print_section("E17: speedup anatomy", d);
 
   report().timings["model:engine:seconds"] = eng_s;
-  report().timings["model:baseline:seconds"] = base_s;
   report().timings["model:engine:states_per_sec"] = eng_rate;
-  report().timings["model:baseline:states_per_sec"] = base_rate;
-  report().timings["model:speedup"] = eng_rate / base_rate;
 
   // Determinism contract on a violating slice of the same space: verdict,
   // witness, and state counts bit-identical for 1 vs 8 threads and for
@@ -262,7 +259,7 @@ void experiments() {
         mc);
   }
 
-  engine_speedup();
+  engine_measurement();
 }
 
 void BM_ProcessSetIntersect(benchmark::State& state) {

@@ -37,9 +37,11 @@ FdValue sigma_fd(Pid p, int) {
 
 void report(const char* name, const McResult& r) {
   std::printf("%s\n  states=%zu deduped=%zu por_pruned=%zu reexpanded=%zu "
-              "peak_depth=%d collisions=%zu\n  %s\n",
+              "peak_depth=%d collisions=%zu\n  sections_interned=%zu "
+              "payloads_interned=%zu\n  %s\n",
               name, r.states_explored, r.states_deduped, r.por_skipped,
               r.states_reexpanded, r.peak_depth, r.hash_collisions,
+              r.sections_interned, r.payloads_interned,
               r.violation_found
                   ? ("VIOLATION: " + r.violation + " (witness " +
                      std::to_string(r.witness.size()) + " steps)")

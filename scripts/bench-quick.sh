@@ -7,10 +7,10 @@
 # the shared-payload regression check, the sweep-engine throughput
 # section, and the H4 wide-set scaling rows (quick mode keeps the n=64
 # row so the ledger always carries one beyond-H3 scaling point). Then runs bench_model with NUCON_MODEL_QUICK=1, emitting
-# build/BENCH_model.json: the incremental model-checking engine vs the
-# frozen replay-based DFS baseline on the depth-8 slice of the n=3
-# reference space, with the determinism cross-checks (the full depth-12
-# comparison runs when bench_model is invoked without the quick flag).
+# build/BENCH_model.json: the model-checking engine exhausting the depth-8
+# slice of the n=3 reference space (states/s, peak RSS, the dedup, POR and
+# interning anatomy), with the determinism cross-checks (the depth 10 and
+# 12 rows run when bench_model is invoked without the quick flag).
 # Next comes bench_fdqos with NUCON_FDQOS_QUICK=1, emitting
 # build/BENCH_fdqos.json: heartbeat <>S detection-time/mistake-rate
 # tables, Omega stabilization under delay and skew, and the A_nuc

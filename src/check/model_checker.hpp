@@ -9,23 +9,29 @@
 // history, so the exploration covers exactly the schedules of that
 // history.
 //
-// Engine (the incremental, parallel, pruned explorer):
-//  * configurations are held as compact byte encodings — per-automaton
-//    complete states via Automaton::save_state (structurally shared with
-//    the parent for the n-1 processes that did not step) plus the
-//    canonically ordered in-flight message list — so expanding a child is
-//    one clone + one step + one encode instead of replaying the whole
-//    path from the initial configuration;
+// Engine (the incremental, parallel, collapsed, pruned explorer):
+//  * incremental: a process's state is its complete Automaton::save_state
+//    encoding (its section), so expanding a child is one restore + one
+//    step + one encode instead of replaying the whole path from the
+//    initial configuration. A per-Worker memo keyed on (process, own step,
+//    sender, section id, payload id) skips even that for a transition
+//    seen before;
+//  * collapsed, as SPIN's collapse compression (Holzmann, "State
+//    Compression in SPIN", 1997): sections and payloads are interned by
+//    full content, once per search, and a configuration is stored once,
+//    flat, as its n section ids, n packed counters and canonically ordered
+//    wires (packed (to, sender, seq), payload id);
 //  * the search is breadth-first by layers: each layer's frontier is
 //    expanded in parallel over exp::ThreadPool, and the results are merged
-//    sequentially in canonical frontier order. Dedup, budget accounting,
-//    and violation selection all happen in the merge, which makes the
-//    verdict, witness, and every counter bit-identical for any thread
-//    count. BFS also reaches every configuration at its minimum depth
-//    first, so the visited-set pruning is sound under the depth bound;
-//  * dedup keys are 128 bits (two independent 64-bit mixes of the encoded
-//    configuration); hash_collisions counts the 64-bit half-key clashes
-//    the widened key disambiguated;
+//    sequentially in canonical frontier order. Interning, dedup, budget
+//    accounting and violation selection all happen in the merge, which
+//    makes the verdict, witness, and every counter bit-identical for any
+//    thread count; ids never leave the search. BFS also reaches every
+//    configuration at its minimum depth first, so the visited-set pruning
+//    is sound under the depth bound;
+//  * the visited store finds a configuration by a 128-bit key (two
+//    independent 64-bit mixes per element, XORed over the configuration)
+//    and then compares the stored ids, so a hit is exact;
 //  * sleep-set partial-order reduction prunes interleavings that only
 //    permute steps of different processes (each step touches one automaton
 //    and one destination queue, so such steps commute). Sleep sets are
@@ -38,6 +44,9 @@
 // Soundness notes:
 //  * a reported violation is real: the witness trace replays
 //    (replay_witness below re-executes it);
+//  * "exhausted" is exact: two configurations are merged only when their
+//    section ids, counters and wires are equal, and interning compares
+//    bytes, so no hash collision can prune a configuration;
 //  * "no violation" is relative to the depth/state budget, the fixed
 //    detector history, and the automata's save_state being a COMPLETE
 //    state encoding (true for every checkable automaton in this library).
@@ -112,9 +121,15 @@ struct McResult {
   std::size_t states_reexpanded = 0;
   /// Transitions pruned by the partial-order reduction.
   std::size_t por_skipped = 0;
-  /// 64-bit half-key collisions the 128-bit dedup key disambiguated
-  /// (i.e. prunes a 64-bit visited set would have gotten wrong).
+  /// Configurations admitted although a stored one had the same 128-bit
+  /// key: each is a prune a key-only visited set would have gotten wrong,
+  /// and the exact comparison kept. 0 unless 128-bit keys collide.
   std::size_t hash_collisions = 0;
+  /// Distinct sections (one process's save_state bytes) and distinct
+  /// payloads among the stored configurations: the sizes of the search's
+  /// interning tables.
+  std::size_t sections_interned = 0;
+  std::size_t payloads_interned = 0;
   /// Deepest configuration reached (<= max_depth).
   int peak_depth = 0;
   /// True when the search space within max_depth was fully covered
@@ -128,15 +143,6 @@ struct McResult {
 /// save_state (see the soundness notes above).
 [[nodiscard]] McResult model_check_consensus(const McOptions& opts);
 
-/// The pre-overhaul engine, frozen as a baseline: single-threaded DFS that
-/// re-materializes every configuration by replaying the whole path and
-/// dedups on a 64-bit hash of the automata's save_state bytes. Kept for
-/// the bench_model speedup comparison and for cross-validating verdicts;
-/// `threads` and `use_por` are ignored, and witness deliveries
-/// index the FIFO buffer order rather than the canonical order.
-[[nodiscard]] McResult model_check_consensus_replay_baseline(
-    const McOptions& opts);
-
 /// Re-executes a witness schedule against a fresh initial configuration
 /// (canonical delivery indexing; each step's msg id is verified when set).
 /// Returns the agreement violation the final configuration exhibits, or
@@ -144,11 +150,10 @@ struct McResult {
 [[nodiscard]] std::optional<std::string> replay_witness(
     const McOptions& opts, const std::vector<McStep>& witness);
 
-/// The engine's 128-bit configuration-key building block, exposed for
-/// external consumers (the coverage-guided fuzzer in src/fuzz uses it to
-/// fingerprint per-process states). Two independent 64-bit mixes of the
-/// same input; a collision requires both halves to collide, exactly the
-/// property the model checker's dedup relies on.
+/// The engine's 128-bit content key, exposed for external consumers (the
+/// coverage-guided fuzzer in src/fuzz uses it to fingerprint per-process
+/// states). Two independent 64-bit mixes of the same input; a collision
+/// requires both halves to collide.
 struct StateKey128 {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;

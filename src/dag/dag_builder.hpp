@@ -57,7 +57,8 @@ class DagCore {
   /// support: the DAG (already serializable as the gossip payload) plus
   /// the local sample counter. The kept walk and the work counters are not
   /// state; restore is the one place a DAG is replaced, so it drops the
-  /// walk.
+  /// walk. The counter must equal the length of the own chain, as every
+  /// step keeps it.
   void save(ByteWriter& w) const {
     w.bytes(dag_.serialize());
     w.uvarint(k_);
@@ -68,7 +69,7 @@ class DagCore {
     auto dag = SampleDag::deserialize(*raw);
     if (!dag || dag->n() != dag_.n()) return false;
     const auto k = r.uvarint();
-    if (!k) return false;
+    if (!k || *k != dag->count_of(self_)) return false;
     dag_ = std::move(*dag);
     walk_.clear();
     k_ = static_cast<std::uint32_t>(*k);

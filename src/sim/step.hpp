@@ -5,8 +5,8 @@
 // failure-detector module, changes p's state, and sends. Executors differ
 // only in which message a step receives and what time it carries: the
 // scheduler, replay, the Lemma 4.10 chain simulation and the model
-// checker's baseline and witness replay all step through `deliver` and
-// name their sends with a SendNamer.
+// checker's witness replay all step through `deliver` and name their sends
+// with a SendNamer.
 #pragma once
 
 #include <optional>

@@ -69,6 +69,33 @@ TEST(DagBuilder, KCounterMatchesOwnChain) {
   }
 }
 
+TEST(DagBuilder, RestoreRefusesAStepCountOtherThanTheOwnChainLength) {
+  DagCore core(0, 3);
+  for (int i = 0; i < 3; ++i) {
+    (void)core.on_step(nullptr, FdValue::of_quorum(ProcessSet{0, 1, 2}));
+  }
+  ASSERT_EQ(core.dag().count_of(0), 3u);
+  const auto state_with_k = [&](std::uint64_t k) {
+    ByteWriter w;
+    w.bytes(core.dag().serialize());
+    w.uvarint(k);
+    return w.take();
+  };
+  const auto restores = [](const Bytes& state) {
+    DagCore twin(0, 3);
+    ByteReader r(state);
+    return twin.restore(r) && r.done();
+  };
+
+  ByteWriter saved;
+  core.save(saved);
+  EXPECT_EQ(saved.buffer(), state_with_k(3));
+  EXPECT_TRUE(restores(state_with_k(3)));
+  EXPECT_FALSE(restores(state_with_k(7)));
+  EXPECT_FALSE(restores(state_with_k((std::uint64_t{1} << 32) + 3)));
+  EXPECT_FALSE(restores(state_with_k(2)));
+}
+
 TEST(DagBuilder, FreshCoheGreedyChainCoversAllCorrect) {
   // Lemma 4.8's finite analogue: from an early own node, the greedy chain
   // through the cone contains samples of every correct process.

@@ -6,7 +6,8 @@
 // of its own. Each allocation's size rides in a header in front of the
 // block (not malloc_usable_size), so the count is exact under the
 // sanitizers too. Every case first runs a smaller job of the same kind, so
-// first-use statics are in place before the count starts.
+// first-use statics are in place before the count starts. The same hook
+// counts allocations, so a case can bound the model checker's per state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_allocations{0};
 
 /// Room for the size, keeping the block max_align_t-aligned.
 constexpr std::size_t kHeader = alignof(std::max_align_t);
@@ -30,6 +32,7 @@ void* counted_alloc(std::size_t size) {
   *static_cast<std::size_t*>(base) = size;
   g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
                          std::memory_order_relaxed);
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   return static_cast<char*>(base) + kHeader;
 }
 
@@ -56,6 +59,10 @@ namespace {
 
 std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+std::int64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
 }
 
 exp::SweepPoint point(exp::Algo algo, Pid n) {
@@ -134,6 +141,25 @@ TEST(HermeticRun, AParallelSearchLeavesNothingOnTheHeap) {
       model_check_consensus(split_quorum_search(6, 2)).states_explored;
   EXPECT_EQ(live_bytes(), before);
   EXPECT_GT(states, 100u);
+}
+
+// A configuration is stored as words in an arena, its sleep set in a
+// shared vector, and a transition's outcome in its Worker's arenas, so
+// what allocates per state is only the memo's misses (each one restores,
+// steps and encodes an automaton) and the containers' growth.
+TEST(HermeticRun, ASearchAllocatesAtMostTwicePerState) {
+  for (const unsigned threads : {1u, 2u}) {
+    (void)model_check_consensus(split_quorum_search(2, threads));
+
+    const std::int64_t before = allocations();
+    const std::size_t states =
+        model_check_consensus(split_quorum_search(8, threads)).states_explored;
+    const auto made = static_cast<double>(allocations() - before);
+    EXPECT_GT(states, 10'000u);
+    EXPECT_LE(made / static_cast<double>(states), 2.0)
+        << "threads=" << threads << ": " << made << " allocations for "
+        << states << " states";
+  }
 }
 
 }  // namespace

@@ -4,13 +4,17 @@
 // the arrival counts (never the verdict or the set of reached states),
 // and the §6.3-style contaminated histories must keep producing the
 // paper's violation for the naive quorum substitution while A_nuc
-// exhausts the same spaces violation-free.
+// exhausts the same spaces violation-free. The engine is also held to an
+// exact reference (tests/mc_reference.hpp), to configurations that share a
+// visited key, and to pinned work counters on the benchmark's search.
 #include "check/model_checker.hpp"
 
 #include <gtest/gtest.h>
 
 #include "algo/mr_consensus.hpp"
+#include "check/mc_store.hpp"
 #include "core/anuc.hpp"
+#include "mc_reference.hpp"
 
 namespace nucon {
 namespace {
@@ -138,36 +142,121 @@ TEST(ModelCheckerParallel, AnucExhaustsTheContaminatedSpaceViolationFree) {
   EXPECT_EQ(result.hash_collisions, 0u);
 }
 
-TEST(ModelCheckerParallel, BaselineEngineAgreesOnVerdicts) {
-  // The frozen replay-based baseline must reach the same verdicts as the
-  // incremental engine (its witness indexing and arrival accounting
-  // differ, so only the verdicts are comparable).
+/// The n=2 partition history: each process trusts only itself.
+FdValue singleton_fd(Pid p, int /*own_step*/) {
+  FdValue v = FdValue::of_quorum(ProcessSet::single(p));
+  v.set_leader(p);
+  return v;
+}
+
+McOptions pair_of_singletons(int depth) {
   McOptions opts;
   opts.n = 2;
   opts.make = make_mr_fd_quorum(2);
   opts.proposals = {0, 1};
-  opts.fd = [](Pid p, int) {
-    FdValue v = FdValue::of_quorum(ProcessSet::single(p));
-    v.set_leader(p);
-    return v;
-  };
-  opts.max_depth = 12;
-  opts.max_states = 2'000'000;
+  opts.fd = singleton_fd;
+  opts.max_depth = depth;
+  return opts;
+}
 
-  const McResult incremental = model_check_consensus(opts);
-  const McResult baseline = model_check_consensus_replay_baseline(opts);
-  EXPECT_TRUE(incremental.violation_found);
-  EXPECT_EQ(incremental.violation_found, baseline.violation_found);
+/// states_explored, with and without POR, is the number of distinct
+/// configurations the byte-exact reference reaches, and the verdicts
+/// agree.
+void expect_matches_reference(McOptions opts) {
+  const testref::McReference ref = testref::reference_search(opts);
+  for (const bool por : {true, false}) {
+    opts.use_por = por;
+    const McResult r = model_check_consensus(opts);
+    EXPECT_EQ(r.violation_found, ref.violation_found) << "por=" << por;
+    if (ref.violation_found) {
+      EXPECT_EQ(static_cast<int>(r.witness.size()), ref.violation_depth);
+      continue;
+    }
+    EXPECT_TRUE(r.exhausted) << "por=" << por;
+    EXPECT_EQ(r.states_explored, ref.distinct) << "por=" << por;
+  }
+}
 
-  McOptions safe = triple(6, 4'000'000);
-  const McResult inc_safe = model_check_consensus(safe);
-  const McResult base_safe = model_check_consensus_replay_baseline(safe);
-  EXPECT_FALSE(inc_safe.violation_found) << inc_safe.violation;
-  EXPECT_EQ(inc_safe.violation_found, base_safe.violation_found);
-  // Unique-state coverage agrees too: the baseline counts arrivals in
-  // states_explored, so its unique count is explored minus deduped.
-  EXPECT_EQ(inc_safe.states_explored,
-            base_safe.states_explored - base_safe.states_deduped);
+TEST(ModelCheckerParallel, CountsWhatTheExactReferenceCounts) {
+  {
+    SCOPED_TRACE("MR, split quorum, depth 6");
+    expect_matches_reference(triple(6, 4'000'000));
+  }
+  {
+    SCOPED_TRACE("A_nuc, split quorum, depth 6");
+    McOptions anuc = triple(6, 4'000'000);
+    anuc.make = make_anuc(3);
+    expect_matches_reference(anuc);
+  }
+  {
+    SCOPED_TRACE("MR, n=2 singleton quorums, depth 7");
+    expect_matches_reference(pair_of_singletons(7));
+  }
+  {
+    // One step deeper the two singletons disagree: the reference and the
+    // engine find it at the same minimum depth.
+    SCOPED_TRACE("MR, n=2 singleton quorums, depth 10");
+    expect_matches_reference(pair_of_singletons(10));
+  }
+}
+
+TEST(ModelCheckerParallel, ConfigurationsSharingAKeyAreBothKept) {
+  mc::ConfigStore store;
+  const mc::Key128 key{0x1234, 0x5678};
+  const std::vector<std::uint32_t> a{1, 2, 3};
+  const std::vector<std::uint32_t> b{1, 2, 4};
+  const std::uint32_t ia = store.insert(key, a);
+
+  const mc::ConfigStore::Found miss = store.find(key, b);
+  EXPECT_EQ(miss.id, mc::kNoId);
+  EXPECT_TRUE(miss.key_seen);
+  const std::uint32_t ib = store.insert(key, b);
+  EXPECT_NE(ia, ib);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.find(key, a).id, ia);
+  EXPECT_EQ(store.find(key, b).id, ib);
+  EXPECT_TRUE(std::ranges::equal(store[ia].content, a));
+  EXPECT_TRUE(std::ranges::equal(store[ib].content, b));
+  EXPECT_FALSE(store.find({0x1234, 0x5679}, a).key_seen);
+}
+
+TEST(ModelCheckerParallel, ASearchOnOneVisitedKeyExpandsEveryConfiguration) {
+  // Every configuration on one key: a key-only visited set would stop
+  // after the root. The exact store keeps and expands them all, so
+  // everything but the collision count matches the real keys' search.
+  McOptions opts = triple(5, 4'000'000);
+  const McResult keyed = model_check_consensus(opts);
+  ASSERT_TRUE(keyed.exhausted);
+  ASSERT_EQ(keyed.hash_collisions, 0u);
+  for (const unsigned threads : {1u, 2u}) {
+    opts.threads = threads;
+    McResult one_key = mc::model_check_masked(opts, mc::Key128{});
+    EXPECT_EQ(one_key.hash_collisions, keyed.states_explored - 1);
+    one_key.hash_collisions = 0;
+    EXPECT_EQ(one_key, keyed) << "threads=" << threads;
+  }
+}
+
+TEST(ModelCheckerParallel, VerifySearchWorkCountersArePinned) {
+  // perfbench's `verify` search: A_nuc, split quorum, depth 10. Every
+  // counter is exact, so any change to what the engine explores, or to
+  // what it interns, shows here. The tables hold 855 sections and 22
+  // payloads.
+  McOptions opts = triple(10, 100'000'000);
+  opts.make = make_anuc(3);
+  const McResult serial = model_check_consensus(opts);
+  EXPECT_TRUE(serial.exhausted);
+  EXPECT_FALSE(serial.violation_found);
+  EXPECT_EQ(serial.states_explored, 513'251u);
+  EXPECT_EQ(serial.states_deduped, 758'383u);
+  EXPECT_EQ(serial.states_reexpanded, 20'862u);
+  EXPECT_EQ(serial.por_skipped, 1'327'048u);
+  EXPECT_EQ(serial.hash_collisions, 0u);
+  EXPECT_EQ(serial.sections_interned, 855u);
+  EXPECT_EQ(serial.payloads_interned, 22u);
+
+  opts.threads = 2;
+  EXPECT_EQ(model_check_consensus(opts), serial);
 }
 
 }  // namespace

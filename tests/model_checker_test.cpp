@@ -174,6 +174,50 @@ TEST(ModelChecker, RefusesAutomataWithoutSaveState) {
   }
 }
 
+/// Counts its steps, broadcasts after each, and throws on its third.
+class Tripwire final : public ConsensusAutomaton {
+ public:
+  void step(const Incoming*, const FdValue&,
+            std::vector<Outgoing>& out) override {
+    if (++steps_ == 3) throw std::runtime_error("tripwire");
+    out.push_back({0, Bytes{steps_}});
+    out.push_back({1, Bytes{steps_}});
+  }
+  [[nodiscard]] bool save_state(ByteWriter& w) const override {
+    w.u8(steps_);
+    return true;
+  }
+  [[nodiscard]] bool restore_state(ByteReader& r) override {
+    const auto steps = r.u8();
+    if (!steps) return false;
+    steps_ = *steps;
+    return true;
+  }
+  [[nodiscard]] std::optional<Value> decision() const override {
+    return std::nullopt;
+  }
+
+ private:
+  std::uint8_t steps_ = 0;
+};
+
+// A step that throws ends the search with that exception, and a parallel
+// search first waits for the chunks still in flight, which read the
+// frontier it is about to free.
+TEST(ModelChecker, AThrowingStepEndsTheSearchWithItsException) {
+  McOptions opts;
+  opts.n = 2;
+  opts.make = [](Pid, Value) { return std::make_unique<Tripwire>(); };
+  opts.proposals = {0, 1};
+  opts.fd = [](Pid, int) { return FdValue{}; };
+  opts.max_depth = 6;
+  for (const unsigned threads : {1u, 4u}) {
+    opts.threads = threads;
+    EXPECT_THROW((void)model_check_consensus(opts), std::runtime_error)
+        << "threads=" << threads;
+  }
+}
+
 // The no-oracle stack's complete state spans its election, Sigma and MR
 // components, so the engine searches it like any registry automaton.
 TEST(ModelChecker, ExhaustsFromScratchViolationFree) {
