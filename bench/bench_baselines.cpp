@@ -9,31 +9,15 @@
 // terminate — the whole point of quorum detectors — and A_nuc pays extra
 // bytes for piggybacked quorum histories and SAW/ACK traffic.
 #include "bench_util.hpp"
-#include "algo/ben_or.hpp"
-#include "algo/ct_consensus.hpp"
-#include "algo/mr_consensus.hpp"
-#include "core/anuc.hpp"
 
 namespace nucon::bench {
 namespace {
 
-enum class Algo { kMrMajority, kMrSigma, kCt, kAnuc, kBenOr };
-
-const char* algo_name(Algo a) {
-  switch (a) {
-    case Algo::kMrMajority:
-      return "MR+Omega(maj)";
-    case Algo::kMrSigma:
-      return "MR+Sigma";
-    case Algo::kCt:
-      return "CT+<>S";
-    case Algo::kAnuc:
-      return "A_nuc+(O,S^nu+)";
-    case Algo::kBenOr:
-      return "Ben-Or (coins)";
-  }
-  return "?";
-}
+// The rows' algorithms, in table order. Each runs on its registry stack
+// (exp::AlgoOracles); Ben-Or's stack is the empty detector.
+constexpr exp::Algo kAlgos[] = {exp::Algo::kMrMajority, exp::Algo::kMrSigma,
+                                exp::Algo::kCt, exp::Algo::kAnuc,
+                                exp::Algo::kBenOr};
 
 struct AggRow {
   int runs = 0;
@@ -45,37 +29,15 @@ struct AggRow {
   bool safe = true;  // nonuniform agreement held in every run
 };
 
-AggRow run_algo(Algo algo, Pid n, Pid faults, int seeds) {
+AggRow run_algo(exp::Algo algo, Pid n, Pid faults, int seeds) {
   constexpr Time kStabilize = 120;
   AggRow agg;
   for (int i = 0; i < seeds; ++i) {
     const std::uint64_t seed = 100 + static_cast<std::uint64_t>(i);
     const FailurePattern fp = spread_crashes(n, faults, kStabilize - 20, seed);
 
-    OracleStack oracle;
-    ConsensusFactory make;
-    switch (algo) {
-      case Algo::kMrMajority:
-        oracle = omega_only(fp, kStabilize, seed);
-        make = make_mr_majority(n);
-        break;
-      case Algo::kMrSigma:
-        oracle = omega_sigma(fp, kStabilize, seed);
-        make = make_mr_fd_quorum(n);
-        break;
-      case Algo::kCt:
-        oracle = evt_strong(fp, kStabilize, seed);
-        make = make_ct(n);
-        break;
-      case Algo::kAnuc:
-        oracle = omega_sigma_nu_plus(fp, kStabilize, seed);
-        make = make_anuc(n);
-        break;
-      case Algo::kBenOr:
-        oracle = omega_only(fp, kStabilize, seed);  // Omega ignored
-        make = make_ben_or(n, static_cast<Pid>((n - 1) / 2), seed);
-        break;
-    }
+    exp::AlgoOracles oracle(algo, fp, kStabilize, kAdversarial, seed);
+    const ConsensusFactory make = exp::consensus_factory_of(algo, n, seed);
 
     SchedulerOptions opts;
     opts.seed = seed;
@@ -97,10 +59,9 @@ AggRow run_algo(Algo algo, Pid n, Pid faults, int seeds) {
 }
 
 void add_rows(TextTable& t, Pid n, Pid faults, int seeds) {
-  for (const Algo algo : {Algo::kMrMajority, Algo::kMrSigma, Algo::kCt,
-                          Algo::kAnuc, Algo::kBenOr}) {
+  for (const exp::Algo algo : kAlgos) {
     const AggRow r = run_algo(algo, n, faults, seeds);
-    t.add_row({algo_name(algo), std::to_string(n), std::to_string(faults),
+    t.add_row({exp::algo_name(algo), std::to_string(n), std::to_string(faults),
                std::to_string(r.decided) + "/" + std::to_string(r.runs),
                TextTable::fmt(r.rounds.mean(), 1),
                TextTable::fmt(r.steps.mean(), 0),
@@ -136,41 +97,19 @@ void experiments() {
 
 void BM_ConsensusRound(benchmark::State& state) {
   const Pid n = 5;
-  const Algo algo = static_cast<Algo>(state.range(0));
+  const exp::Algo algo = kAlgos[state.range(0)];
   std::uint64_t seed = 1;
   for (auto _ : state) {
     const FailurePattern fp(n);
-    OracleStack oracle;
-    ConsensusFactory make;
-    switch (algo) {
-      case Algo::kMrMajority:
-        oracle = omega_only(fp, 0, seed);
-        make = make_mr_majority(n);
-        break;
-      case Algo::kMrSigma:
-        oracle = omega_sigma(fp, 0, seed);
-        make = make_mr_fd_quorum(n);
-        break;
-      case Algo::kCt:
-        oracle = evt_strong(fp, 0, seed);
-        make = make_ct(n);
-        break;
-      case Algo::kAnuc:
-        oracle = omega_sigma_nu_plus(fp, 0, seed);
-        make = make_anuc(n);
-        break;
-      case Algo::kBenOr:
-        oracle = omega_only(fp, 0, seed);
-        make = make_ben_or(n, static_cast<Pid>((n - 1) / 2), seed);
-        break;
-    }
+    exp::AlgoOracles oracle(algo, fp, 0, kAdversarial, seed);
+    const ConsensusFactory make = exp::consensus_factory_of(algo, n, seed);
     SchedulerOptions opts;
     opts.seed = seed++;
     opts.max_steps = 60'000;
     benchmark::DoNotOptimize(
         run_consensus(fp, oracle.top(), make, mixed_proposals(n), opts));
   }
-  state.SetLabel(algo_name(algo));
+  state.SetLabel(exp::algo_name(algo));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConsensusRound)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);

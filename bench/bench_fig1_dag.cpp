@@ -27,7 +27,7 @@ struct DagStats {
 DagStats run_dag(Pid n, Pid faults, std::int64_t steps, int gossip_every,
                  std::uint64_t seed) {
   const FailurePattern fp = spread_crashes(n, faults, 60, seed);
-  auto oracle = omega_sigma_nu(fp, 80, seed);
+  exp::AlgoOracles oracle(exp::Algo::kStacked, fp, 80, kAdversarial, seed);
 
   SchedulerOptions opts;
   opts.seed = seed;
@@ -140,7 +140,7 @@ BENCHMARK(BM_DagDeserializeMerge)->Arg(64)->Arg(512);
 
 void BM_FairChain(benchmark::State& state) {
   const FailurePattern fp(4);
-  auto oracle = omega_sigma_nu(fp, 40, 3);
+  exp::AlgoOracles oracle(exp::Algo::kStacked, fp, 40, kAdversarial, 3);
   SchedulerOptions opts;
   opts.seed = 3;
   opts.max_steps = state.range(0);

@@ -10,7 +10,6 @@
 // emission needs a deciding simulated schedule, i.e. several simulated
 // consensus rounds worth of fresh samples).
 #include "bench_util.hpp"
-#include "algo/mr_consensus.hpp"
 #include "core/anuc.hpp"
 #include "core/extract_sigma_nu.hpp"
 #include "fd/history.hpp"
@@ -29,11 +28,11 @@ struct ExtractRow {
 ExtractRow run_extract(Pid n, Pid faults, bool uniform_pair,
                        std::uint64_t seed, std::int64_t steps) {
   const FailurePattern fp = spread_crashes(n, faults, 40, seed);
-  auto oracle = uniform_pair ? omega_sigma(fp, 60, seed)
-                             : omega_sigma_nu_plus(fp, 60, seed);
+  const exp::Algo algo = uniform_pair ? exp::Algo::kMrSigma : exp::Algo::kAnuc;
+  exp::AlgoOracles oracle(algo, fp, 60, kAdversarial, seed);
 
   ExtractOptions eo;
-  eo.algorithm = uniform_pair ? make_mr_fd_quorum(n) : make_anuc(n);
+  eo.algorithm = exp::consensus_factory_of(algo, n, seed);
   eo.n = n;
   eo.check_every = 4;
   eo.max_chain = 800;
@@ -119,7 +118,7 @@ void BM_SimulateChain(benchmark::State& state) {
   // Cost of one Sch(G|u, I) simulation, the inner loop of Fig. 2.
   const Pid n = static_cast<Pid>(state.range(0));
   const FailurePattern fp(n);
-  auto oracle = omega_sigma_nu_plus(fp, 0, 7);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 0, kAdversarial, 7);
   SchedulerOptions opts;
   opts.seed = 7;
   opts.max_steps = 1600;

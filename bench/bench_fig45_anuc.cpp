@@ -32,7 +32,7 @@ AnucRow run_anuc(Pid n, Pid faults, Time stabilize, std::uint64_t seed,
     for (Pid p : fp.faulty()) late.set_crash(p, crash_at);
     fp = late;
   }
-  auto oracle = omega_sigma_nu_plus(fp, stabilize, seed, behavior);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, stabilize, behavior, seed);
 
   SchedulerOptions opts;
   opts.seed = seed;
@@ -184,7 +184,7 @@ void BM_AnucDecision(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     const FailurePattern fp(n);
-    auto oracle = omega_sigma_nu_plus(fp, 0, seed);
+    exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 0, kAdversarial, seed);
     SchedulerOptions opts;
     opts.seed = seed++;
     opts.max_steps = 200'000;

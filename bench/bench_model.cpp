@@ -314,7 +314,7 @@ BENCHMARK(BM_SchedulerThroughput)->Arg(4)->Arg(16)->Arg(64);
 void BM_Replay(benchmark::State& state) {
   const Pid n = 4;
   const FailurePattern fp(n);
-  auto oracle = omega_only(fp, 0, 2);
+  exp::AlgoOracles oracle(exp::Algo::kMrMajority, fp, 0, kAdversarial, 2);
   const ConsensusFactory make = make_mr_majority(n);
   const AutomatonFactory generic = [&make](Pid p) {
     return make(p, p % 2);

@@ -10,6 +10,7 @@
 //                           paper's proofs cannot route through them.
 // Also reports the cost of an operation (steps and messages per op).
 #include "bench_util.hpp"
+#include "fd/sigma.hpp"
 #include "reg/harness.hpp"
 
 namespace nucon::bench {

@@ -8,109 +8,27 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "algo/harness.hpp"
 #include "exp/sweep.hpp"
-#include "fd/classic.hpp"
-#include "fd/composed.hpp"
-#include "fd/omega.hpp"
-#include "fd/sigma.hpp"
-#include "fd/sigma_nu.hpp"
 #include "obs/report.hpp"
 #include "util/stats.hpp"
 
 namespace nucon::bench {
 
-/// Owns a composed oracle stack for one run.
-struct OracleStack {
-  std::unique_ptr<Oracle> first;
-  std::unique_ptr<Oracle> second;
-  std::unique_ptr<Oracle> composed;
-
-  Oracle& top() { return composed ? *composed : *first; }
-};
-
-inline OracleStack omega_sigma_nu_plus(
-    const FailurePattern& fp, Time stabilize, std::uint64_t seed,
-    FaultyQuorumBehavior behavior = FaultyQuorumBehavior::kAdversarialDisjoint) {
-  OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = stabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  SigmaNuPlusOptions so;
-  so.stabilize_at = stabilize;
-  so.seed = seed + 0x9e37;
-  so.faulty = behavior;
-  s.second = std::make_unique<SigmaNuPlusOracle>(fp, so);
-  s.composed = std::make_unique<ComposedOracle>(*s.first, *s.second);
-  return s;
-}
-
-inline OracleStack omega_sigma(const FailurePattern& fp, Time stabilize,
-                               std::uint64_t seed) {
-  OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = stabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  SigmaOptions so;
-  so.stabilize_at = stabilize;
-  so.seed = seed + 0x9e37;
-  s.second = std::make_unique<SigmaOracle>(fp, so);
-  s.composed = std::make_unique<ComposedOracle>(*s.first, *s.second);
-  return s;
-}
-
-inline OracleStack omega_sigma_nu(const FailurePattern& fp, Time stabilize,
-                                  std::uint64_t seed) {
-  OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = stabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  SigmaNuOptions so;
-  so.stabilize_at = stabilize;
-  so.seed = seed + 0x9e37;
-  s.second = std::make_unique<SigmaNuOracle>(fp, so);
-  s.composed = std::make_unique<ComposedOracle>(*s.first, *s.second);
-  return s;
-}
-
-inline OracleStack omega_only(const FailurePattern& fp, Time stabilize,
-                              std::uint64_t seed) {
-  OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = stabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  return s;
-}
-
-inline OracleStack evt_strong(const FailurePattern& fp, Time stabilize,
-                              std::uint64_t seed) {
-  OracleStack s;
-  SuspectsOptions so;
-  so.stabilize_at = stabilize;
-  so.seed = seed;
-  s.first = std::make_unique<EvtStrongOracle>(fp, so);
-  return s;
-}
+/// The faulty-quorum mode of every stack a table row does not vary. The
+/// stacks themselves come from exp::AlgoOracles, the one builder the
+/// sweeps, the fuzzer and perfbench use too.
+inline constexpr FaultyQuorumBehavior kAdversarial =
+    FaultyQuorumBehavior::kAdversarialDisjoint;
 
 /// A failure pattern with `faults` crashes spread over [20, latest].
 inline FailurePattern spread_crashes(Pid n, Pid faults, Time latest,
                                      std::uint64_t seed) {
   Rng rng(seed * 2654435761ULL + 17);
   return Environment{n, static_cast<Pid>(n - 1)}.sample(rng, faults, latest);
-}
-
-inline std::vector<Value> mixed_proposals(Pid n) {
-  std::vector<Value> out(static_cast<std::size_t>(n));
-  for (Pid p = 0; p < n; ++p) out[static_cast<std::size_t>(p)] = p % 2;
-  return out;
 }
 
 /// The report this binary accumulates while run_experiments() executes.

@@ -10,6 +10,12 @@
 
 namespace nucon {
 
+std::vector<Value> mixed_proposals(Pid n) {
+  std::vector<Value> out(static_cast<std::size_t>(n));
+  for (Pid p = 0; p < n; ++p) out[static_cast<std::size_t>(p)] = p % 2;
+  return out;
+}
+
 ConsensusRunStats run_consensus(const FailurePattern& fp, Oracle& oracle,
                                 const ConsensusFactory& make,
                                 const std::vector<Value>& proposals,

@@ -34,6 +34,11 @@ struct ConsensusRunStats {
   trace::MetricsRegistry metrics;
 };
 
+/// Process p proposes p % 2: the mixed 0/1 proposals every sweep, bench,
+/// fuzz genome and contamination search runs with, since divergent
+/// estimates are what agreement must survive.
+[[nodiscard]] std::vector<Value> mixed_proposals(Pid n);
+
 [[nodiscard]] ConsensusRunStats run_consensus(const FailurePattern& fp,
                                               Oracle& oracle,
                                               const ConsensusFactory& make,

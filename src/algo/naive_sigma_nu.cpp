@@ -37,15 +37,12 @@ ConsensusRunStats run_adversarial(const ContaminationSetup& setup,
                                    ? static_cast<Oracle&>(sigma_nu_plus)
                                    : static_cast<Oracle&>(sigma_nu));
 
-  // Mixed proposals: divergence between estimates is what contamination
-  // propagates.
-  std::vector<Value> proposals(static_cast<std::size_t>(setup.n));
-  for (Pid p = 0; p < setup.n; ++p) proposals[static_cast<std::size_t>(p)] = p % 2;
-
   SchedulerOptions opts;
   opts.seed = seed;
   opts.max_steps = setup.max_steps;
-  return run_consensus(fp, oracle, make, proposals, opts);
+  // Mixed proposals: divergence between estimates is what contamination
+  // propagates.
+  return run_consensus(fp, oracle, make, mixed_proposals(setup.n), opts);
 }
 
 }  // namespace

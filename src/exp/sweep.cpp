@@ -454,9 +454,7 @@ FailurePattern failure_pattern_of(const SweepPoint& pt) {
 }
 
 std::vector<Value> proposals_of(const SweepPoint& pt) {
-  std::vector<Value> out(static_cast<std::size_t>(pt.n));
-  for (Pid p = 0; p < pt.n; ++p) out[static_cast<std::size_t>(p)] = p % 2;
-  return out;
+  return mixed_proposals(pt.n);
 }
 
 ConsensusRunStats run_point(const SweepPoint& pt,

@@ -279,7 +279,7 @@ class SweepRunner {
 /// The failure pattern a point deterministically denotes.
 [[nodiscard]] FailurePattern failure_pattern_of(const SweepPoint& pt);
 
-/// The proposals a point runs with (alternating 0/1, the benches' mix).
+/// The proposals a point runs with: mixed_proposals(pt.n).
 [[nodiscard]] std::vector<Value> proposals_of(const SweepPoint& pt);
 
 /// Executes one point to its stats summary (this is the per-job body the

@@ -268,9 +268,6 @@ ExecutionResult execute_genome(const Genome& g, const ExecOptions& eopts) {
   exp::AlgoOracles oracles(t.algo, fp, t.stabilize, t.faulty_mode, g.seed);
   PerturbedOracle oracle(oracles.top(), g.fd_perturbs, t.n);
 
-  std::vector<Value> proposals(static_cast<std::size_t>(t.n));
-  for (Pid p = 0; p < t.n; ++p) proposals[static_cast<std::size_t>(p)] = p % 2;
-
   SchedulerOptions opts;
   opts.seed = g.seed;
   opts.max_steps = t.max_steps;
@@ -317,7 +314,7 @@ ExecutionResult execute_genome(const Genome& g, const ExecOptions& eopts) {
 
   result.stats =
       run_consensus(fp, oracle, consensus_factory_of(t.algo, t.n, g.seed),
-                    proposals, opts);
+                    mixed_proposals(t.n), opts);
 
   const ConsensusVerdict& v = result.stats.verdict;
   recorder.annotate(trace::verdict_json(v));

@@ -51,13 +51,9 @@ class ByteWriter {
 
   void pid(Pid p) { svarint(p); }
 
-  /// Legacy single-word form: exactly the <=64-process wire format. Asserts
-  /// the set fits; wide sets go through the width-aware overload below.
-  void process_set(const ProcessSet& s) { u64(s.mask()); }
-
-  /// Width-aware form: n <= 64 emits the legacy single u64 (byte-identical
-  /// to the old format), larger n emits ceil(n/64) little-endian words. The
-  /// word count is derived from n on both sides, so no length prefix.
+  /// A set over n processes as ceil(n/64) little-endian words (one u64 up
+  /// to 64 processes). The word count is derived from n on both sides, so
+  /// no length prefix.
   void process_set(const ProcessSet& s, Pid n) {
     assert(n >= 1 && n <= kMaxProcesses);
     const int words = (static_cast<int>(n) + 63) / 64;
@@ -110,16 +106,21 @@ class ByteReader {
     return data_[pos_++];
   }
 
+  /// Accepts only the minimal encoding ByteWriter::uvarint emits, so one
+  /// value has one encoding: a last byte of 0 after the first (`0x82 0x00`
+  /// for 2) is overlong, and a tenth byte may carry only bit 63.
   [[nodiscard]] std::optional<std::uint64_t> uvarint() {
     std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= size_ || shift > 63) return std::nullopt;
+    for (int shift = 0; pos_ < size_; shift += 7) {
       const std::uint8_t b = data_[pos_++];
+      if (shift == 63 && b > 1) return std::nullopt;
       v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
+      if ((b & 0x80) == 0) {
+        if (b == 0 && shift > 0) return std::nullopt;
+        return v;
+      }
     }
+    return std::nullopt;
   }
 
   /// A round number, or another non-negative `int` field (a timestamp, a
@@ -152,15 +153,9 @@ class ByteReader {
     return static_cast<Pid>(*v);
   }
 
-  [[nodiscard]] std::optional<ProcessSet> process_set() {
-    const auto m = u64();
-    if (!m) return std::nullopt;
-    return ProcessSet::from_mask(*m);
-  }
-
-  /// Width-aware form matching ByteWriter::process_set(s, n). Rejects any
-  /// member >= n, so a payload encoded at one width cannot silently decode
-  /// at another (cross-width decode rejection).
+  /// Reads ByteWriter::process_set(s, n). Rejects any member >= n, so a
+  /// payload encoded at one width cannot silently decode at another
+  /// (cross-width decode rejection).
   [[nodiscard]] std::optional<ProcessSet> process_set(Pid n) {
     assert(n >= 1 && n <= kMaxProcesses);
     const int words = (static_cast<int>(n) + 63) / 64;

@@ -2,13 +2,6 @@
 
 namespace nucon {
 
-void FdValue::encode(ByteWriter& w) const {
-  w.u8(flags_);
-  if (has_leader()) w.pid(leader_);
-  if (has_quorum()) w.process_set(quorum_);
-  if (has_suspects()) w.process_set(suspects_);
-}
-
 void FdValue::encode(ByteWriter& w, Pid n) const {
   w.u8(flags_);
   if (has_leader()) w.pid(leader_);
@@ -34,30 +27,6 @@ std::optional<FdValue> FdValue::decode(ByteReader& r, Pid n) {
   }
   if (*flags & kHasSuspects) {
     const auto s = r.process_set(n);
-    if (!s) return std::nullopt;
-    v.set_suspects(*s);
-  }
-  return v;
-}
-
-std::optional<FdValue> FdValue::decode(ByteReader& r) {
-  const auto flags = r.u8();
-  if (!flags || (*flags & ~(kHasLeader | kHasQuorum | kHasSuspects)) != 0) {
-    return std::nullopt;
-  }
-  FdValue v;
-  if (*flags & kHasLeader) {
-    const auto p = r.pid();
-    if (!p) return std::nullopt;
-    v.set_leader(*p);
-  }
-  if (*flags & kHasQuorum) {
-    const auto q = r.process_set();
-    if (!q) return std::nullopt;
-    v.set_quorum(*q);
-  }
-  if (*flags & kHasSuspects) {
-    const auto s = r.process_set();
     if (!s) return std::nullopt;
     v.set_suspects(*s);
   }

@@ -84,12 +84,8 @@ class FdValue {
 
   friend constexpr bool operator==(const FdValue&, const FdValue&) = default;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static std::optional<FdValue> decode(ByteReader& r);
-
-  /// Width-aware forms: identical bytes for n <= 64, multi-word sets (and a
-  /// leader bound check) beyond. Callers that know their n use these so
-  /// payloads stay valid past 64 processes.
+  /// The value in a system of n processes: sets in ceil(n/64) words, and
+  /// decode refuses a leader or member outside [0, n).
   void encode(ByteWriter& w, Pid n) const;
   [[nodiscard]] static std::optional<FdValue> decode(ByteReader& r, Pid n);
 

@@ -114,8 +114,8 @@ class ProcessSet {
     return s;
   }
 
-  /// The low 64 bits. Callers on the legacy <=64-process wire paths use this;
-  /// it asserts the set has no members above pid 63.
+  /// The low 64 bits, for sets known to have no member above pid 63 (it
+  /// asserts that); wide-aware code reads word(i).
   [[nodiscard]] constexpr std::uint64_t mask() const {
     assert(hi_zero());
     return lo_;

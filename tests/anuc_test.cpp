@@ -13,6 +13,7 @@
 namespace nucon {
 namespace {
 
+using testutil::kAdversarial;
 using testutil::SweepParam;
 
 constexpr Time kStabilize = 120;
@@ -22,14 +23,15 @@ class AnucSweep : public testing::TestWithParam<SweepParam> {};
 
 TEST_P(AnucSweep, SolvesNonuniformConsensusUnderAdversarialOracle) {
   const FailurePattern fp = testutil::sweep_pattern(GetParam(), kStabilize - 20);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, kStabilize, GetParam().seed);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, kStabilize, kAdversarial,
+                          GetParam().seed);
 
   SchedulerOptions opts;
   opts.seed = GetParam().seed;
   opts.max_steps = kMaxSteps;
   const auto stats =
       run_consensus(fp, oracle.top(), make_anuc(GetParam().n),
-                    testutil::mixed_proposals(GetParam().n), opts);
+                    mixed_proposals(GetParam().n), opts);
 
   EXPECT_TRUE(stats.all_correct_decided) << fp.to_string();
   EXPECT_TRUE(stats.verdict.termination) << stats.verdict.detail;
@@ -39,8 +41,8 @@ TEST_P(AnucSweep, SolvesNonuniformConsensusUnderAdversarialOracle) {
 
 TEST_P(AnucSweep, UnanimousProposalsDecideTheProposedValue) {
   const FailurePattern fp = testutil::sweep_pattern(GetParam(), kStabilize - 20);
-  auto oracle =
-      testutil::omega_sigma_nu_plus(fp, kStabilize, GetParam().seed + 500);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, kStabilize, kAdversarial,
+                          GetParam().seed + 500);
 
   SchedulerOptions opts;
   opts.seed = GetParam().seed + 500;
@@ -75,20 +77,20 @@ TEST(Anuc, ToleratesCorrectMinority) {
   // (Omega, Sigma^nu+).
   FailurePattern fp(5);
   for (Pid p = 1; p < 5; ++p) fp.set_crash(p, 40 + 10 * p);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, 150, 9);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 150, kAdversarial, 9);
 
   SchedulerOptions opts;
   opts.seed = 9;
   opts.max_steps = 120'000;
   const auto stats = run_consensus(fp, oracle.top(), make_anuc(5),
-                                   testutil::mixed_proposals(5), opts);
+                                   mixed_proposals(5), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_nonuniform()) << stats.verdict.detail;
 }
 
 TEST(Anuc, NoFailuresFastPath) {
   const FailurePattern fp(4);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, 0, 11);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 0, kAdversarial, 11);
   SchedulerOptions opts;
   opts.seed = 11;
   opts.max_steps = 60'000;
@@ -102,7 +104,7 @@ TEST(Anuc, NoFailuresFastPath) {
 
 TEST(Anuc, MultivaluedProposals) {
   const FailurePattern fp(5);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, 50, 13);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 50, kAdversarial, 13);
   SchedulerOptions opts;
   opts.seed = 13;
   opts.max_steps = 120'000;
@@ -114,19 +116,19 @@ TEST(Anuc, MultivaluedProposals) {
 TEST(Anuc, BenignFaultyBehaviorAlsoWorks) {
   FailurePattern fp(4);
   fp.set_crash(0, 60);  // crash the would-be kernel/leader
-  auto oracle = testutil::omega_sigma_nu_plus(fp, 100, 17,
-                                              FaultyQuorumBehavior::kBenign);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 100,
+                          FaultyQuorumBehavior::kBenign, 17);
   SchedulerOptions opts;
   opts.seed = 17;
   opts.max_steps = 120'000;
   const auto stats = run_consensus(fp, oracle.top(), make_anuc(4),
-                                   testutil::mixed_proposals(4), opts);
+                                   mixed_proposals(4), opts);
   EXPECT_TRUE(stats.verdict.solves_nonuniform()) << stats.verdict.detail;
 }
 
 TEST(Anuc, DecisionIsIrrevocable) {
   const FailurePattern fp(3);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, 0, 19);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 0, kAdversarial, 19);
   SchedulerOptions opts;
   opts.seed = 19;
   opts.max_steps = 20'000;
@@ -180,12 +182,12 @@ TEST(AnucAblation, AblationsDoNotAffectLiveness) {
         AnucOptions{.use_distrust = true, .use_quorum_awareness = false}}) {
     FailurePattern fp(4);
     fp.set_crash(3, 60);
-    auto oracle = testutil::omega_sigma_nu_plus(fp, 100, 31);
+    exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 100, kAdversarial, 31);
     SchedulerOptions opts;
     opts.seed = 31;
     opts.max_steps = 120'000;
     const auto stats = run_consensus(fp, oracle.top(), make_anuc(4, options),
-                                     testutil::mixed_proposals(4), opts);
+                                     mixed_proposals(4), opts);
     EXPECT_TRUE(stats.all_correct_decided);
     EXPECT_TRUE(stats.verdict.validity);
   }
@@ -193,7 +195,7 @@ TEST(AnucAblation, AblationsDoNotAffectLiveness) {
 
 TEST(Anuc, HistoriesGrowButStayBounded) {
   const FailurePattern fp(4);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, 0, 23);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 0, kAdversarial, 23);
   SchedulerOptions opts;
   opts.seed = 23;
   opts.max_steps = 30'000;
@@ -356,6 +358,27 @@ TEST(Anuc, RestoreRefusesARoundPastInt) {
   EXPECT_FALSE(restored.restore(with_round(saved, 1, kPastInt)));
   ASSERT_TRUE(restored.restore(saved));
   EXPECT_EQ(restored.round(), 1);
+}
+
+TEST(Anuc, RestoreRefusesAnOverlongVarint) {
+  Anuc p0(0, 1, 2);
+  std::vector<Outgoing> lead;
+  p0.step(nullptr, leader0_quorum01(), lead);
+  ByteWriter w;
+  ASSERT_TRUE(p0.save_state(w));
+  const Bytes saved = w.take();
+  ASSERT_EQ(saved.at(0), 0x02);  // x = 1, zig-zag encoded
+
+  // The same state with x in a second, non-minimal encoding: accepting it
+  // would give one state two encodings.
+  Bytes overlong = {0x82, 0x00};
+  overlong.insert(overlong.end(), saved.begin() + 1, saved.end());
+  Anuc restored(0, 0, 2);
+  EXPECT_FALSE(restored.restore(overlong));
+  ASSERT_TRUE(restored.restore(saved));
+  ByteWriter resaved;
+  ASSERT_TRUE(restored.save_state(resaved));
+  EXPECT_EQ(resaved.take(), saved);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ TEST_P(BenOrSweep, SolvesUniformBinaryConsensusWithMajority) {
   opts.seed = seed;
   opts.max_steps = 300'000;
   const auto stats = run_consensus(fp, oracle, make_ben_or(n, t, seed),
-                                   testutil::mixed_proposals(n), opts);
+                                   mixed_proposals(n), opts);
 
   EXPECT_TRUE(stats.all_correct_decided) << fp.to_string();
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
@@ -96,7 +96,7 @@ TEST(BenOr, SafetyWhileBlockedWithoutMajority) {
   opts.seed = 6;
   opts.max_steps = 40'000;
   const auto stats = run_consensus(fp, oracle, make_ben_or(5, 2, 6),
-                                   testutil::mixed_proposals(5), opts);
+                                   mixed_proposals(5), opts);
   EXPECT_FALSE(stats.all_correct_decided);  // stalls: < n-t alive
   EXPECT_TRUE(stats.verdict.uniform_agreement);
 }

@@ -105,10 +105,12 @@ TEST(Bytes, RoundRejectsValuesPastInt) {
 TEST(Bytes, ProcessSetRoundTrip) {
   ByteWriter w;
   const ProcessSet s{0, 5, 63};
-  w.process_set(s);
+  w.process_set(s, 64);
   const Bytes buf = w.take();
+  EXPECT_EQ(buf.size(), 8u);
   ByteReader r(buf);
-  EXPECT_EQ(r.process_set(), s);
+  EXPECT_EQ(r.process_set(64), s);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Bytes, StringRoundTrip) {
@@ -151,9 +153,19 @@ TEST(Bytes, TruncatedVarintFails) {
 }
 
 TEST(Bytes, OverlongVarintFails) {
-  Bytes data(11, 0x80);  // more than 64 bits of continuation
-  ByteReader r(data);
-  EXPECT_FALSE(r.uvarint());
+  // One value has one encoding: no continuation past 64 bits, no zero last
+  // byte after the first (0x82 0x00 would be 2), and a tenth byte, which
+  // sits at bit 63, of at most 1.
+  Bytes past_max(9, 0xff);
+  past_max.push_back(0x7f);
+  Bytes tenth_two(9, 0x80);
+  tenth_two.push_back(0x02);
+  for (const Bytes& data :
+       {Bytes(11, 0x80), Bytes{0x82, 0x00}, Bytes{0x80, 0x00},
+        Bytes{0xff, 0x80, 0x00}, past_max, tenth_two}) {
+    ByteReader r(data);
+    EXPECT_FALSE(r.uvarint());
+  }
 }
 
 TEST(Bytes, TruncatedStringFails) {

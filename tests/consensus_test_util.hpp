@@ -3,89 +3,16 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "algo/harness.hpp"
-#include "fd/classic.hpp"
-#include "fd/composed.hpp"
-#include "fd/omega.hpp"
-#include "fd/sigma.hpp"
-#include "fd/sigma_nu.hpp"
+#include "exp/sweep.hpp"
 
 namespace nucon::testutil {
 
-/// Owns the oracle stack for one run (component oracles must outlive the
-/// composed one).
-struct OracleStack {
-  std::unique_ptr<Oracle> first;
-  std::unique_ptr<Oracle> second;
-  std::unique_ptr<Oracle> composed;
-
-  Oracle& top() { return composed ? *composed : *first; }
-};
-
-inline OracleStack omega_sigma_nu_plus(const FailurePattern& fp,
-                                       Time stabilize, std::uint64_t seed,
-                                       FaultyQuorumBehavior behavior =
-                                           FaultyQuorumBehavior::kAdversarialDisjoint) {
-  OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = stabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  SigmaNuPlusOptions so;
-  so.stabilize_at = stabilize;
-  so.seed = seed + 0x9e37;
-  so.faulty = behavior;
-  s.second = std::make_unique<SigmaNuPlusOracle>(fp, so);
-  s.composed = std::make_unique<ComposedOracle>(*s.first, *s.second);
-  return s;
-}
-
-inline OracleStack omega_sigma(const FailurePattern& fp, Time stabilize,
-                               std::uint64_t seed,
-                               SigmaStrategy strategy = SigmaStrategy::kKernel) {
-  OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = stabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  SigmaOptions so;
-  so.stabilize_at = stabilize;
-  so.seed = seed + 0x9e37;
-  so.strategy = strategy;
-  s.composed = nullptr;
-  s.second = std::make_unique<SigmaOracle>(fp, so);
-  s.composed = std::make_unique<ComposedOracle>(*s.first, *s.second);
-  return s;
-}
-
-inline OracleStack omega_only(const FailurePattern& fp, Time stabilize,
-                              std::uint64_t seed) {
-  OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = stabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  return s;
-}
-
-inline OracleStack evt_strong(const FailurePattern& fp, Time stabilize,
-                              std::uint64_t seed) {
-  OracleStack s;
-  SuspectsOptions so;
-  so.stabilize_at = stabilize;
-  so.seed = seed;
-  s.first = std::make_unique<EvtStrongOracle>(fp, so);
-  return s;
-}
-
-/// Mixed 0/1 proposals (process parity).
-inline std::vector<Value> mixed_proposals(Pid n) {
-  std::vector<Value> out(static_cast<std::size_t>(n));
-  for (Pid p = 0; p < n; ++p) out[static_cast<std::size_t>(p)] = p % 2;
-  return out;
-}
+/// The faulty-quorum mode of the sweeps' stacks. The consensus tests build
+/// their stacks with exp::AlgoOracles, the builder the sweep engine, the
+/// fuzzer and perfbench use too.
+inline constexpr FaultyQuorumBehavior kAdversarial =
+    FaultyQuorumBehavior::kAdversarialDisjoint;
 
 struct SweepParam {
   Pid n;

@@ -58,13 +58,11 @@ TEST(Contamination, BenignSigmaWouldNotContaminate) {
                        : static_cast<Pid>((t / 3 + p) % fp.n()));
       return v;
     });
-    std::vector<Value> proposals(static_cast<std::size_t>(setup.n));
-    for (Pid p = 0; p < setup.n; ++p) proposals[static_cast<std::size_t>(p)] = p % 2;
     SchedulerOptions opts;
     opts.seed = seed;
     opts.max_steps = setup.max_steps;
     const auto stats = run_consensus(fp, oracle, make_mr_fd_quorum(setup.n),
-                                     proposals, opts);
+                                     mixed_proposals(setup.n), opts);
     nonuniform += !stats.verdict.nonuniform_agreement;
     EXPECT_TRUE(stats.verdict.uniform_agreement) << "seed " << seed;
   }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "consensus_test_util.hpp"
+#include "fd/classic.hpp"
 
 namespace nucon {
 namespace {
 
+using testutil::kAdversarial;
 using testutil::SweepParam;
 
 constexpr Time kStabilize = 120;
@@ -19,14 +21,15 @@ class CtSweep : public testing::TestWithParam<SweepParam> {};
 TEST_P(CtSweep, SolvesUniformConsensusWithMajority) {
   const FailurePattern fp = testutil::sweep_pattern(GetParam(), kStabilize - 20);
   ASSERT_TRUE(is_majority(fp.correct(), fp.n()));
-  auto oracle = testutil::evt_strong(fp, kStabilize, GetParam().seed);
+  exp::AlgoOracles oracle(exp::Algo::kCt, fp, kStabilize, kAdversarial,
+                          GetParam().seed);
 
   SchedulerOptions opts;
   opts.seed = GetParam().seed;
   opts.max_steps = kMaxSteps;
   const auto stats =
       run_consensus(fp, oracle.top(), make_ct(GetParam().n),
-                    testutil::mixed_proposals(GetParam().n), opts);
+                    mixed_proposals(GetParam().n), opts);
 
   EXPECT_TRUE(stats.all_correct_decided) << fp.to_string();
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
@@ -49,7 +52,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CtSweep, testing::ValuesIn(ct_params()),
 
 TEST(CtConsensus, DecidesUnanimousValue) {
   const FailurePattern fp(3);
-  auto oracle = testutil::evt_strong(fp, 0, 4);
+  exp::AlgoOracles oracle(exp::Algo::kCt, fp, 0, kAdversarial, 4);
   SchedulerOptions opts;
   opts.seed = 4;
   opts.max_steps = 60'000;
@@ -63,12 +66,12 @@ TEST(CtConsensus, DecidesUnanimousValue) {
 TEST(CtConsensus, ToleratesCrashedFirstCoordinator) {
   FailurePattern fp(5);
   fp.set_crash(0, 5);  // round-1 coordinator dies immediately
-  auto oracle = testutil::evt_strong(fp, 80, 8);
+  exp::AlgoOracles oracle(exp::Algo::kCt, fp, 80, kAdversarial, 8);
   SchedulerOptions opts;
   opts.seed = 8;
   opts.max_steps = 150'000;
   const auto stats = run_consensus(fp, oracle.top(), make_ct(5),
-                                   testutil::mixed_proposals(5), opts);
+                                   mixed_proposals(5), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
 }
@@ -81,7 +84,7 @@ TEST(CtConsensus, WithPerfectDetectorDecidesQuickly) {
   opts.seed = 12;
   opts.max_steps = 60'000;
   const auto stats = run_consensus(fp, oracle, make_ct(4),
-                                   testutil::mixed_proposals(4), opts);
+                                   mixed_proposals(4), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
 }
@@ -90,12 +93,12 @@ TEST(CtConsensus, SafetyHoldsEvenWhileBlockedWithoutMajority) {
   FailurePattern fp(4);
   fp.set_crash(1, 10);
   fp.set_crash(2, 10);
-  auto oracle = testutil::evt_strong(fp, 60, 14);
+  exp::AlgoOracles oracle(exp::Algo::kCt, fp, 60, kAdversarial, 14);
   SchedulerOptions opts;
   opts.seed = 14;
   opts.max_steps = 40'000;
   const auto stats = run_consensus(fp, oracle.top(), make_ct(4),
-                                   testutil::mixed_proposals(4), opts);
+                                   mixed_proposals(4), opts);
   EXPECT_TRUE(stats.verdict.uniform_agreement);
   EXPECT_TRUE(stats.verdict.validity);
 }

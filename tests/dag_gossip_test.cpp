@@ -13,10 +13,13 @@
 #include <map>
 #include <memory>
 
-#include "consensus_test_util.hpp"
+#include "algo/harness.hpp"
 #include "core/stacked_nuc.hpp"
 #include "dag/dag_builder.hpp"
 #include "dag_reference.hpp"
+#include "fd/composed.hpp"
+#include "fd/omega.hpp"
+#include "fd/sigma_nu.hpp"
 
 namespace nucon {
 namespace {
@@ -335,7 +338,7 @@ TEST_P(DeltaGossip, StackedNucDeltasEqualWholeDagMerges) {
     return stop_on_failure(a) || all_correct_decided(fp, a);
   };
   const auto stats = run_consensus(fp, oracle, make,
-                                   testutil::mixed_proposals(fp.n()), opts);
+                                   mixed_proposals(fp.n()), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_nonuniform()) << stats.verdict.detail;
   EXPECT_GE(ledger.checked, min_receipts(GetParam()));

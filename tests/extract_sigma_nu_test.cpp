@@ -14,6 +14,8 @@
 namespace nucon {
 namespace {
 
+using testutil::kAdversarial;
+
 constexpr Time kStabilize = 40;
 
 struct ExtractOutcome {
@@ -51,7 +53,8 @@ TEST(Extract, FromAnucOracleYieldsSigmaNu) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     FailurePattern fp(3);
     if (seed != 1) fp.set_crash(2, 25);
-    auto oracle = testutil::omega_sigma_nu_plus(fp, kStabilize, seed);
+    exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, kStabilize, kAdversarial,
+                            seed);
 
     const ExtractOutcome outcome =
         run_extract(fp, oracle.top(), make_anuc(3), seed, 1400);
@@ -63,7 +66,7 @@ TEST(Extract, FromAnucOracleYieldsSigmaNu) {
 
 TEST(Extract, ProducesQuorumsAtCorrectProcesses) {
   FailurePattern fp(3);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, kStabilize, 7);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, kStabilize, kAdversarial, 7);
   const ExtractOutcome outcome =
       run_extract(fp, oracle.top(), make_anuc(3), 7, 1400);
   for (Pid p : fp.correct()) {
@@ -78,7 +81,8 @@ TEST(Extract, FromUniformAlgorithmYieldsSigma) {
   for (std::uint64_t seed : {1ull, 2ull}) {
     FailurePattern fp(3);
     if (seed == 2) fp.set_crash(0, 25);
-    auto oracle = testutil::omega_sigma(fp, kStabilize, seed);
+    exp::AlgoOracles oracle(exp::Algo::kMrSigma, fp, kStabilize, kAdversarial,
+                            seed);
 
     const ExtractOutcome outcome =
         run_extract(fp, oracle.top(), make_mr_fd_quorum(3), seed, 1400);
@@ -92,7 +96,7 @@ TEST(Extract, FromEvtStrongAndCtYieldsSigmaNu) {
   // D = <>S, A = Chandra-Toueg: a detector with a completely different
   // range still reduces to Sigma^nu (majority environment).
   FailurePattern fp(3);
-  auto oracle = testutil::evt_strong(fp, kStabilize, 11);
+  exp::AlgoOracles oracle(exp::Algo::kCt, fp, kStabilize, kAdversarial, 11);
   const ExtractOutcome outcome =
       run_extract(fp, oracle.top(), make_ct(3), 11, 1600);
   ASSERT_FALSE(outcome.emulated.empty());
@@ -106,7 +110,7 @@ TEST(Extract, EmittedQuorumsComeFromDecidingSchedules) {
   // participates in both).
   FailurePattern fp(4);
   fp.set_crash(3, 25);
-  auto oracle = testutil::omega_sigma_nu_plus(fp, kStabilize, 13);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, kStabilize, kAdversarial, 13);
   const ExtractOutcome outcome =
       run_extract(fp, oracle.top(), make_anuc(4), 13, 2000);
   for (const Sample& s : outcome.emulated.samples()) {

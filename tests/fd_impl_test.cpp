@@ -336,8 +336,6 @@ SimResult simulate_hosted(exp::Algo algo, const FailurePattern& fp,
   exp::AlgoOracles oracles(algo, fp, /*stabilize=*/120,
                            FaultyQuorumBehavior::kAdversarialDisjoint, seed,
                            hosted.board);
-  std::vector<Value> proposals;
-  for (Pid p = 0; p < n; ++p) proposals.push_back(p % 2);
   SchedulerOptions opts;
   opts.seed = seed;
   opts.max_steps = 16000;
@@ -345,7 +343,8 @@ SimResult simulate_hosted(exp::Algo algo, const FailurePattern& fp,
   opts.stop_when = [](const std::vector<std::unique_ptr<Automaton>>&) {
     return false;  // run the full horizon
   };
-  return simulate_consensus(fp, oracles.top(), hosted.factory, proposals, opts);
+  return simulate_consensus(fp, oracles.top(), hosted.factory,
+                            mixed_proposals(n), opts);
 }
 
 TEST(Hosted, RecordedHistoryOfOmegaAlgosPassesCheckOmega) {

@@ -63,10 +63,10 @@ TEST(FdValue, EncodeDecodeRoundTrip) {
        {FdValue{}, FdValue::of_leader(0), FdValue::of_quorum(ProcessSet{}),
         FdValue::of_suspects(ProcessSet{63}), all}) {
     ByteWriter w;
-    v.encode(w);
+    v.encode(w, 64);
     const Bytes buf = w.take();
     ByteReader r(buf);
-    const auto got = FdValue::decode(r);
+    const auto got = FdValue::decode(r, 64);
     ASSERT_TRUE(got);
     EXPECT_EQ(*got, v);
     EXPECT_TRUE(r.done());
@@ -76,16 +76,16 @@ TEST(FdValue, EncodeDecodeRoundTrip) {
 TEST(FdValue, DecodeRejectsBadFlags) {
   Bytes data = {0xFF};
   ByteReader r(data);
-  EXPECT_FALSE(FdValue::decode(r));
+  EXPECT_FALSE(FdValue::decode(r, 64));
 }
 
 TEST(FdValue, DecodeRejectsTruncated) {
   ByteWriter w;
-  FdValue::of_quorum(ProcessSet{1}).encode(w);
+  FdValue::of_quorum(ProcessSet{1}).encode(w, 64);
   Bytes data = w.take();
   data.pop_back();
   ByteReader r(data);
-  EXPECT_FALSE(FdValue::decode(r));
+  EXPECT_FALSE(FdValue::decode(r, 64));
 }
 
 TEST(FdValue, ToStringMentionsComponents) {

@@ -15,9 +15,7 @@
 #include "core/sigma_nu_to_plus.hpp"
 #include "core/stacked_nuc.hpp"
 #include "dag/dag_builder.hpp"
-#include "fd/composed.hpp"
-#include "fd/omega.hpp"
-#include "fd/sigma_nu.hpp"
+#include "exp/sweep.hpp"
 #include "fuzz/mutator.hpp"
 #include "reg/abd.hpp"
 #include "util/rng.hpp"
@@ -242,13 +240,8 @@ TEST(Fuzz, ConsensusSafetySurvivesGarbageInjectedMidRun) {
 
   FailurePattern fp(kN);
   fp.set_crash(3, 60);
-  OmegaOptions oo;
-  oo.stabilize_at = 100;
-  OmegaOracle omega(fp, oo);
-  SigmaNuPlusOptions so;
-  so.stabilize_at = 100;
-  SigmaNuPlusOracle sigma(fp, so);
-  ComposedOracle oracle(omega, sigma);
+  exp::AlgoOracles oracle(exp::Algo::kAnuc, fp, 100,
+                          FaultyQuorumBehavior::kAdversarialDisjoint, 77);
 
   const ConsensusFactory inner = make_anuc(kN);
   const ConsensusFactory noisy = [inner](Pid p, Value proposal) {
@@ -260,7 +253,7 @@ TEST(Fuzz, ConsensusSafetySurvivesGarbageInjectedMidRun) {
   opts.seed = 77;
   opts.max_steps = 120'000;
   const ConsensusRunStats stats =
-      run_consensus(fp, oracle, noisy, {0, 1, 0, 1}, opts);
+      run_consensus(fp, oracle.top(), noisy, {0, 1, 0, 1}, opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_nonuniform()) << stats.verdict.detail;
 }

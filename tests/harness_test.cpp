@@ -8,44 +8,30 @@
 #include <stdexcept>
 
 #include "algo/mr_consensus.hpp"
-#include "core/anuc.hpp"
-#include "fd/composed.hpp"
-#include "fd/omega.hpp"
-#include "fd/sigma_nu.hpp"
+#include "exp/sweep.hpp"
 
 namespace nucon {
 namespace {
 
-struct Fixture {
-  explicit Fixture(Pid n, Time stabilize = 50, std::uint64_t seed = 7)
-      : fp(n) {
-    OmegaOptions oo;
-    oo.stabilize_at = stabilize;
-    oo.seed = seed;
-    omega = std::make_unique<OmegaOracle>(fp, oo);
-  }
-
-  FailurePattern fp;
-  std::unique_ptr<OmegaOracle> omega;
-};
-
-std::vector<Value> binary_proposals(Pid n) {
-  std::vector<Value> out(static_cast<std::size_t>(n));
-  for (Pid p = 0; p < n; ++p) out[static_cast<std::size_t>(p)] = p % 2;
-  return out;
+/// MR-majority's registry stack (Omega alone) over `fp`.
+exp::AlgoOracles omega_of(const FailurePattern& fp, Time stabilize,
+                          std::uint64_t seed) {
+  return exp::AlgoOracles(exp::Algo::kMrMajority, fp, stabilize,
+                          FaultyQuorumBehavior::kAdversarialDisjoint, seed);
 }
 
 TEST(HarnessTest, StepCapExhaustionReportsTerminationFailure) {
   // A step budget far below what any decision needs: the run is cut off,
   // the verdict must say termination failed, and nothing may have decided.
   const Pid n = 5;
-  Fixture fx(n, /*stabilize=*/1'000);
+  const FailurePattern fp(n);
+  exp::AlgoOracles oracle = omega_of(fp, /*stabilize=*/1'000, 7);
   SchedulerOptions opts;
   opts.seed = 3;
   opts.max_steps = 40;
 
   const ConsensusRunStats stats = run_consensus(
-      fx.fp, *fx.omega, make_mr_majority(n), binary_proposals(n), opts);
+      fp, oracle.top(), make_mr_majority(n), mixed_proposals(n), opts);
 
   EXPECT_FALSE(stats.verdict.termination);
   EXPECT_FALSE(stats.verdict.solves_nonuniform());
@@ -61,26 +47,28 @@ TEST(HarnessTest, StepCapExhaustionReportsTerminationFailure) {
 
 TEST(HarnessTest, EmptyProposalVectorIsRejected) {
   const Pid n = 3;
-  Fixture fx(n);
+  const FailurePattern fp(n);
+  exp::AlgoOracles oracle = omega_of(fp, 50, 7);
   SchedulerOptions opts;
   opts.seed = 1;
 
-  EXPECT_THROW((void)run_consensus(fx.fp, *fx.omega, make_mr_majority(n),
+  EXPECT_THROW((void)run_consensus(fp, oracle.top(), make_mr_majority(n),
                                    /*proposals=*/{}, opts),
                std::invalid_argument);
 }
 
 TEST(HarnessTest, WrongSizedProposalVectorIsRejected) {
   const Pid n = 4;
-  Fixture fx(n);
+  const FailurePattern fp(n);
+  exp::AlgoOracles oracle = omega_of(fp, 50, 7);
   SchedulerOptions opts;
   opts.seed = 1;
 
-  EXPECT_THROW((void)run_consensus(fx.fp, *fx.omega, make_mr_majority(n),
-                                   binary_proposals(n - 1), opts),
+  EXPECT_THROW((void)run_consensus(fp, oracle.top(), make_mr_majority(n),
+                                   mixed_proposals(n - 1), opts),
                std::invalid_argument);
-  EXPECT_THROW((void)run_consensus(fx.fp, *fx.omega, make_mr_majority(n),
-                                   binary_proposals(n + 1), opts),
+  EXPECT_THROW((void)run_consensus(fp, oracle.top(), make_mr_majority(n),
+                                   mixed_proposals(n + 1), opts),
                std::invalid_argument);
 }
 
@@ -89,20 +77,16 @@ TEST(HarnessTest, ProcessCrashingBeforeDecidingLeavesNulloptSlot) {
   // one slot per process (crashed included), with p2's empty, and the
   // survivors still solve consensus.
   const Pid n = 3;
-  Fixture fx(n, /*stabilize=*/30);
-  fx.fp.set_crash(2, 1);
-  // Rebuild the oracle against the pattern that includes the crash.
-  OmegaOptions oo;
-  oo.stabilize_at = 30;
-  oo.seed = 7;
-  OmegaOracle omega(fx.fp, oo);
+  FailurePattern fp(n);
+  fp.set_crash(2, 1);
+  exp::AlgoOracles oracle = omega_of(fp, /*stabilize=*/30, 7);
 
   SchedulerOptions opts;
   opts.seed = 11;
   opts.max_steps = 100'000;
 
   const ConsensusRunStats stats = run_consensus(
-      fx.fp, omega, make_mr_majority(n), binary_proposals(n), opts);
+      fp, oracle.top(), make_mr_majority(n), mixed_proposals(n), opts);
 
   ASSERT_EQ(stats.decisions.size(), static_cast<std::size_t>(n));
   EXPECT_FALSE(stats.decisions[2].has_value());
@@ -120,17 +104,14 @@ TEST(HarnessTest, AllProcessesCrashedYieldsAllEmptyDecisions) {
   const Pid n = 3;
   FailurePattern fp(n);
   for (Pid p = 0; p < n; ++p) fp.set_crash(p, 1);
-  OmegaOptions oo;
-  oo.stabilize_at = 10;
-  oo.seed = 5;
-  OmegaOracle omega(fp, oo);
+  exp::AlgoOracles oracle = omega_of(fp, /*stabilize=*/10, 5);
 
   SchedulerOptions opts;
   opts.seed = 2;
   opts.max_steps = 10'000;
 
   const ConsensusRunStats stats = run_consensus(
-      fp, omega, make_mr_majority(n), binary_proposals(n), opts);
+      fp, oracle.top(), make_mr_majority(n), mixed_proposals(n), opts);
 
   ASSERT_EQ(stats.decisions.size(), static_cast<std::size_t>(n));
   for (const auto& d : stats.decisions) EXPECT_FALSE(d.has_value());

@@ -16,7 +16,6 @@
 #include "algo/mr_consensus.hpp"
 #include "core/stacked_nuc.hpp"
 #include "dag/dag_builder.hpp"
-#include "fd/omega.hpp"
 #include "fd/scripted.hpp"
 #include "obs/report.hpp"
 #include "util/shared_bytes.hpp"
@@ -37,23 +36,19 @@ SchedulerOptions mr_opts(bool record) {
 ConsensusRunStats run_mr(bool record) {
   FailurePattern fp(5);
   fp.set_crash(4, 20);
-  OmegaOptions oo;
-  oo.stabilize_at = 60;
-  oo.seed = 7;
-  OmegaOracle omega(fp, oo);
-  return run_consensus(fp, omega, make_mr_majority(5), {0, 1, 0, 1, 0},
-                       mr_opts(record));
+  exp::AlgoOracles oracle(exp::Algo::kMrMajority, fp, 60,
+                          FaultyQuorumBehavior::kAdversarialDisjoint, 7);
+  return run_consensus(fp, oracle.top(), make_mr_majority(5),
+                       {0, 1, 0, 1, 0}, mr_opts(record));
 }
 
 SimResult sim_mr(bool record) {
   FailurePattern fp(5);
   fp.set_crash(4, 20);
-  OmegaOptions oo;
-  oo.stabilize_at = 60;
-  oo.seed = 7;
-  OmegaOracle omega(fp, oo);
-  return simulate_consensus(fp, omega, make_mr_majority(5), {0, 1, 0, 1, 0},
-                            mr_opts(record));
+  exp::AlgoOracles oracle(exp::Algo::kMrMajority, fp, 60,
+                          FaultyQuorumBehavior::kAdversarialDisjoint, 7);
+  return simulate_consensus(fp, oracle.top(), make_mr_majority(5),
+                            {0, 1, 0, 1, 0}, mr_opts(record));
 }
 
 TEST(RecordRun, OffLeavesStatsIdentical) {

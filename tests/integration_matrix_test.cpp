@@ -6,103 +6,62 @@
 // checkers together.
 #include <gtest/gtest.h>
 
-#include "algo/ct_consensus.hpp"
-#include "algo/mr_consensus.hpp"
+#include <cctype>
+
 #include "consensus_test_util.hpp"
-#include "core/anuc.hpp"
-#include "core/from_scratch.hpp"
-#include "core/stacked_nuc.hpp"
-#include "fd/scripted.hpp"
 
 namespace nucon {
 namespace {
 
-enum class AlgoKind {
-  kMrMajority,    // uniform consensus, needs a correct majority
-  kMrSigma,       // uniform consensus, any environment
-  kCt,            // uniform consensus, needs a correct majority
-  kAnuc,          // nonuniform consensus, any environment
-  kStacked,       // nonuniform consensus from raw Sigma^nu, any environment
-  kFromScratch,   // uniform consensus, no oracle, needs a correct majority
+using testutil::kAdversarial;
+
+// The matrix's algorithms. A parameter holds its algorithm's index in this
+// list, not the exp::Algo, so the bytes gtest prints for it, and with them
+// each test's ctest name, do not depend on the registry's enum order.
+constexpr exp::Algo kMatrixAlgos[] = {
+    exp::Algo::kMrMajority, exp::Algo::kMrSigma, exp::Algo::kCt,
+    exp::Algo::kAnuc,       exp::Algo::kStacked, exp::Algo::kFromScratch,
 };
 
 struct MatrixParam {
-  AlgoKind algo;
+  int algo;  // index into kMatrixAlgos
   Pid n;
   Pid faults;
   std::uint64_t seed;
 };
 
-const char* algo_name(AlgoKind a) {
-  switch (a) {
-    case AlgoKind::kMrMajority: return "MrMajority";
-    case AlgoKind::kMrSigma: return "MrSigma";
-    case AlgoKind::kCt: return "Ct";
-    case AlgoKind::kAnuc: return "Anuc";
-    case AlgoKind::kStacked: return "Stacked";
-    case AlgoKind::kFromScratch: return "FromScratch";
+/// The registry name as a test-name token: "mr-majority" -> "MrMajority".
+std::string test_name_of(exp::Algo a) {
+  std::string out;
+  bool upper = true;
+  for (const char c : std::string(exp::algo_name(a))) {
+    if (c == '-') {
+      upper = true;
+      continue;
+    }
+    out += upper ? static_cast<char>(std::toupper(c)) : c;
+    upper = false;
   }
-  return "?";
+  return out;
 }
 
-bool needs_majority(AlgoKind a) {
-  return a == AlgoKind::kMrMajority || a == AlgoKind::kCt ||
-         a == AlgoKind::kFromScratch;
-}
-
-bool uniform_predicate(AlgoKind a) {
-  return a != AlgoKind::kAnuc && a != AlgoKind::kStacked;
+bool needs_majority(exp::Algo a) {
+  return a == exp::Algo::kMrMajority || a == exp::Algo::kCt ||
+         a == exp::Algo::kFromScratch;
 }
 
 class IntegrationMatrix : public testing::TestWithParam<MatrixParam> {};
 
 TEST_P(IntegrationMatrix, SolvesItsConsensusVariant) {
-  const auto [algo, n, faults, seed] = GetParam();
+  const auto [index, n, faults, seed] = GetParam();
+  const exp::Algo algo = kMatrixAlgos[index];
   constexpr Time kStabilize = 120;
   const FailurePattern fp =
       testutil::sweep_pattern({n, faults, seed}, kStabilize - 20);
   ASSERT_TRUE(!needs_majority(algo) || is_majority(fp.correct(), n));
 
-  testutil::OracleStack stack;
-  ConsensusFactory make;
-  switch (algo) {
-    case AlgoKind::kMrMajority:
-      stack = testutil::omega_only(fp, kStabilize, seed);
-      make = make_mr_majority(n);
-      break;
-    case AlgoKind::kMrSigma:
-      stack = testutil::omega_sigma(fp, kStabilize, seed);
-      make = make_mr_fd_quorum(n);
-      break;
-    case AlgoKind::kCt:
-      stack = testutil::evt_strong(fp, kStabilize, seed);
-      make = make_ct(n);
-      break;
-    case AlgoKind::kAnuc:
-      stack = testutil::omega_sigma_nu_plus(fp, kStabilize, seed);
-      make = make_anuc(n);
-      break;
-    case AlgoKind::kStacked: {
-      testutil::OracleStack s;
-      OmegaOptions oo;
-      oo.stabilize_at = kStabilize;
-      oo.seed = seed;
-      s.first = std::make_unique<OmegaOracle>(fp, oo);
-      SigmaNuOptions so;
-      so.stabilize_at = kStabilize;
-      so.seed = seed + 5;
-      s.second = std::make_unique<SigmaNuOracle>(fp, so);
-      s.composed = std::make_unique<ComposedOracle>(*s.first, *s.second);
-      stack = std::move(s);
-      make = make_stacked_nuc(n);
-      break;
-    }
-    case AlgoKind::kFromScratch:
-      stack.first = std::make_unique<ScriptedOracle>(
-          [](Pid, Time) { return FdValue{}; });
-      make = make_from_scratch(n, static_cast<Pid>((n - 1) / 2));
-      break;
-  }
+  exp::AlgoOracles stack(algo, fp, kStabilize, kAdversarial, seed);
+  const ConsensusFactory make = exp::consensus_factory_of(algo, n, seed);
 
   SchedulerOptions opts;
   opts.seed = seed;
@@ -110,7 +69,7 @@ TEST_P(IntegrationMatrix, SolvesItsConsensusVariant) {
 
   // Run via simulate_consensus so the recorded run is available for the
   // structural and replay checks.
-  const auto proposals = testutil::mixed_proposals(n);
+  const auto proposals = mixed_proposals(n);
   SimResult sim =
       simulate_consensus(fp, stack.top(), make, proposals, opts);
 
@@ -118,11 +77,11 @@ TEST_P(IntegrationMatrix, SolvesItsConsensusVariant) {
   const auto verdict = check_consensus(fp, proposals, decisions);
 
   EXPECT_TRUE(all_correct_decided(fp, sim.automata))
-      << algo_name(algo) << " under " << fp.to_string();
+      << exp::algo_name(algo) << " under " << fp.to_string();
   EXPECT_TRUE(verdict.termination) << verdict.detail;
   EXPECT_TRUE(verdict.validity) << verdict.detail;
   EXPECT_TRUE(verdict.nonuniform_agreement) << verdict.detail;
-  if (uniform_predicate(algo)) {
+  if (exp::expectation(algo) == exp::Expect::kUniform) {
     EXPECT_TRUE(verdict.uniform_agreement) << verdict.detail;
   }
 
@@ -140,15 +99,16 @@ TEST_P(IntegrationMatrix, SolvesItsConsensusVariant) {
 
 std::vector<MatrixParam> matrix() {
   std::vector<MatrixParam> out;
-  for (const AlgoKind algo :
-       {AlgoKind::kMrMajority, AlgoKind::kMrSigma, AlgoKind::kCt,
-        AlgoKind::kAnuc, AlgoKind::kStacked, AlgoKind::kFromScratch}) {
+  for (int index = 0; index < static_cast<int>(std::size(kMatrixAlgos));
+       ++index) {
     for (Pid n : {3, 5}) {
       std::vector<Pid> fault_choices = {0, static_cast<Pid>((n - 1) / 2)};
-      if (!needs_majority(algo)) fault_choices.push_back(static_cast<Pid>(n - 1));
+      if (!needs_majority(kMatrixAlgos[index])) {
+        fault_choices.push_back(static_cast<Pid>(n - 1));
+      }
       for (Pid faults : fault_choices) {
         for (std::uint64_t seed : {1ull, 2ull}) {
-          out.push_back({algo, n, faults, seed});
+          out.push_back({index, n, faults, seed});
         }
       }
     }
@@ -158,7 +118,7 @@ std::vector<MatrixParam> matrix() {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, IntegrationMatrix,
                          testing::ValuesIn(matrix()), [](const auto& info) {
-                           return std::string(algo_name(info.param.algo)) +
+                           return test_name_of(kMatrixAlgos[info.param.algo]) +
                                   "_n" + std::to_string(info.param.n) + "_f" +
                                   std::to_string(info.param.faults) + "_s" +
                                   std::to_string(info.param.seed);

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include "consensus_test_util.hpp"
+#include "fd/composed.hpp"
+#include "fd/omega.hpp"
+#include "fd/sigma.hpp"
 
 namespace nucon {
 namespace {
 
+using testutil::kAdversarial;
 using testutil::SweepParam;
 
 constexpr Time kStabilize = 120;
@@ -21,14 +25,15 @@ class MrMajoritySweep : public testing::TestWithParam<SweepParam> {};
 TEST_P(MrMajoritySweep, SolvesUniformConsensusWithMajority) {
   const FailurePattern fp = testutil::sweep_pattern(GetParam(), kStabilize - 20);
   ASSERT_TRUE(is_majority(fp.correct(), fp.n()));
-  auto oracle = testutil::omega_only(fp, kStabilize, GetParam().seed);
+  exp::AlgoOracles oracle(exp::Algo::kMrMajority, fp, kStabilize, kAdversarial,
+                          GetParam().seed);
 
   SchedulerOptions opts;
   opts.seed = GetParam().seed;
   opts.max_steps = kMaxSteps;
   const auto stats =
       run_consensus(fp, oracle.top(), make_mr_majority(GetParam().n),
-                    testutil::mixed_proposals(GetParam().n), opts);
+                    mixed_proposals(GetParam().n), opts);
 
   EXPECT_TRUE(stats.all_correct_decided) << fp.to_string();
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
@@ -54,14 +59,15 @@ class MrSigmaSweep : public testing::TestWithParam<SweepParam> {};
 
 TEST_P(MrSigmaSweep, SolvesUniformConsensusInAnyEnvironment) {
   const FailurePattern fp = testutil::sweep_pattern(GetParam(), kStabilize - 20);
-  auto oracle = testutil::omega_sigma(fp, kStabilize, GetParam().seed);
+  exp::AlgoOracles oracle(exp::Algo::kMrSigma, fp, kStabilize, kAdversarial,
+                          GetParam().seed);
 
   SchedulerOptions opts;
   opts.seed = GetParam().seed;
   opts.max_steps = kMaxSteps;
   const auto stats =
       run_consensus(fp, oracle.top(), make_mr_fd_quorum(GetParam().n),
-                    testutil::mixed_proposals(GetParam().n), opts);
+                    mixed_proposals(GetParam().n), opts);
 
   EXPECT_TRUE(stats.all_correct_decided) << fp.to_string();
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
@@ -85,13 +91,22 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MrSigmaSweep, testing::ValuesIn(sigma_params()),
 TEST(MrSigma, MajorityStrategyOracleAlsoWorks) {
   FailurePattern fp(5);
   fp.set_crash(4, 60);
-  auto oracle =
-      testutil::omega_sigma(fp, 100, 42, SigmaStrategy::kMajority);
+  // Built by hand: the registry's Sigma layer uses the kernel strategy.
+  OmegaOptions oo;
+  oo.stabilize_at = 100;
+  oo.seed = 42;
+  OmegaOracle omega(fp, oo);
+  SigmaOptions so;
+  so.stabilize_at = 100;
+  so.seed = 42 + 0x9e37;
+  so.strategy = SigmaStrategy::kMajority;
+  SigmaOracle sigma(fp, so);
+  ComposedOracle oracle(omega, sigma);
   SchedulerOptions opts;
   opts.seed = 42;
   opts.max_steps = 120'000;
-  const auto stats = run_consensus(fp, oracle.top(), make_mr_fd_quorum(5),
-                                   testutil::mixed_proposals(5), opts);
+  const auto stats = run_consensus(fp, oracle, make_mr_fd_quorum(5),
+                                   mixed_proposals(5), opts);
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
 }
 
@@ -103,12 +118,12 @@ TEST(MrSigma, SurvivesCorrectMinority) {
   fp.set_crash(1, 30);
   fp.set_crash(2, 50);
   fp.set_crash(3, 70);
-  auto oracle = testutil::omega_sigma(fp, 100, 5);
+  exp::AlgoOracles oracle(exp::Algo::kMrSigma, fp, 100, kAdversarial, 5);
   SchedulerOptions opts;
   opts.seed = 5;
   opts.max_steps = 120'000;
   const auto stats = run_consensus(fp, oracle.top(), make_mr_fd_quorum(4),
-                                   testutil::mixed_proposals(4), opts);
+                                   mixed_proposals(4), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
 }
@@ -119,12 +134,12 @@ TEST(MrMajority, BlocksWithoutCorrectMajority) {
   FailurePattern fp(4);
   fp.set_crash(2, 10);
   fp.set_crash(3, 10);
-  auto oracle = testutil::omega_only(fp, 50, 6);
+  exp::AlgoOracles oracle(exp::Algo::kMrMajority, fp, 50, kAdversarial, 6);
   SchedulerOptions opts;
   opts.seed = 6;
   opts.max_steps = 40'000;
   const auto stats = run_consensus(fp, oracle.top(), make_mr_majority(4),
-                                   testutil::mixed_proposals(4), opts);
+                                   mixed_proposals(4), opts);
   EXPECT_FALSE(stats.all_correct_decided);
   // Safety is never violated even while blocked.
   EXPECT_TRUE(stats.verdict.uniform_agreement);
@@ -132,7 +147,7 @@ TEST(MrMajority, BlocksWithoutCorrectMajority) {
 
 TEST(MrConsensus, RoundsAdvance) {
   const FailurePattern fp(3);
-  auto oracle = testutil::omega_only(fp, 0, 7);
+  exp::AlgoOracles oracle(exp::Algo::kMrMajority, fp, 0, kAdversarial, 7);
   SchedulerOptions opts;
   opts.seed = 7;
   opts.max_steps = 60'000;

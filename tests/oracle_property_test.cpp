@@ -1,9 +1,11 @@
 // Property sweep: every oracle's generated history must lie in its
-// detector class, across system sizes, fault counts, behaviors and seeds;
-// and every Sigma-family oracle's window memo must answer exactly as the
+// detector class, across system sizes, fault counts, behaviors and seeds,
+// and so must every algorithm's registry stack (exp::AlgoOracles); and
+// every Sigma-family oracle's window memo must answer exactly as the
 // stateless draw does.
 #include <gtest/gtest.h>
 
+#include "exp/sweep.hpp"
 #include "fd/classic.hpp"
 #include "fd/composed.hpp"
 #include "fd/history.hpp"
@@ -23,6 +25,37 @@ struct SweepParam {
 
 void PrintTo(const SweepParam& p, std::ostream* os) {
   *os << "n" << p.n << "_f" << p.faults << "_s" << p.seed;
+}
+
+/// The detector class an algorithm consumes: which components its registry
+/// stack's values carry, and the class check for the quorum one. A switch
+/// over exp::Algo, so a new algorithm does not compile (-Wswitch) until it
+/// says what it consumes.
+struct ConsumedClass {
+  bool leader = false;  // Omega
+  CheckResult (*quorum)(const RecordedHistory&, const FailurePattern&) =
+      nullptr;
+  bool suspects = false;  // <>S
+};
+
+ConsumedClass consumed_by(exp::Algo a) {
+  switch (a) {
+    case exp::Algo::kAnuc:
+      return {true, check_sigma_nu_plus, false};
+    case exp::Algo::kStacked:
+    case exp::Algo::kNaive:
+      return {true, check_sigma_nu, false};
+    case exp::Algo::kMrSigma:
+      return {true, check_sigma, false};
+    case exp::Algo::kMrMajority:
+      return {true, nullptr, false};
+    case exp::Algo::kCt:
+      return {false, nullptr, true};
+    case exp::Algo::kBenOr:
+    case exp::Algo::kFromScratch:
+      return {};
+  }
+  return {};
 }
 
 class OracleSweep : public testing::TestWithParam<SweepParam> {
@@ -246,6 +279,43 @@ TEST_P(OracleSweep, NoQuorumOracleEverEmitsAnEmptyQuorum) {
     const RecordedHistory history = sample_all(fp, oracle);
     for (const Sample& s : history.samples()) {
       EXPECT_FALSE(s.value.quorum().empty()) << "Sigma at p=" << s.p;
+    }
+  }
+}
+
+TEST_P(OracleSweep, AlgoOraclesGiveEachAlgorithmItsClass) {
+  // Every bench and consensus test runs an algorithm on its registry
+  // stack, so that stack must be a history of the class it consumes.
+  const FailurePattern fp = pattern();
+  for (const auto behavior : {FaultyQuorumBehavior::kAdversarialDisjoint,
+                              FaultyQuorumBehavior::kNoise}) {
+    for (const exp::Algo algo :
+         {exp::Algo::kAnuc, exp::Algo::kStacked, exp::Algo::kMrMajority,
+          exp::Algo::kMrSigma, exp::Algo::kNaive, exp::Algo::kCt,
+          exp::Algo::kBenOr, exp::Algo::kFromScratch}) {
+      SCOPED_TRACE(std::string(exp::algo_name(algo)) + " " +
+                   exp::mode_name(behavior));
+      exp::AlgoOracles oracles(algo, fp, kStabilize, behavior,
+                               GetParam().seed);
+      const RecordedHistory h = sample_all(fp, oracles.top());
+      const ConsumedClass want = consumed_by(algo);
+      for (const Sample& s : h.samples()) {
+        ASSERT_EQ(s.value.has_leader(), want.leader);
+        ASSERT_EQ(s.value.has_quorum(), want.quorum != nullptr);
+        ASSERT_EQ(s.value.has_suspects(), want.suspects);
+      }
+      if (want.leader) {
+        const CheckResult r = check_omega(h, fp);
+        EXPECT_TRUE(r.ok) << r.detail;
+      }
+      if (want.quorum != nullptr) {
+        const CheckResult r = want.quorum(h, fp);
+        EXPECT_TRUE(r.ok) << r.detail;
+      }
+      if (want.suspects) {
+        const CheckResult r = check_diamond_s(h, fp);
+        EXPECT_TRUE(r.ok) << r.detail;
+      }
     }
   }
 }

@@ -12,15 +12,17 @@
 namespace nucon {
 namespace {
 
+using testutil::kAdversarial;
+
 TEST(Scale, MrSigmaAtSixteenProcesses) {
   FailurePattern fp(16);
   for (Pid p = 12; p < 16; ++p) fp.set_crash(p, 40 + p);
-  auto oracle = testutil::omega_sigma(fp, 100, 1);
+  exp::AlgoOracles oracle(exp::Algo::kMrSigma, fp, 100, kAdversarial, 1);
   SchedulerOptions opts;
   opts.seed = 1;
   opts.max_steps = 300'000;
   const auto stats = run_consensus(fp, oracle.top(), make_mr_fd_quorum(16),
-                                   testutil::mixed_proposals(16), opts);
+                                   mixed_proposals(16), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
 }
@@ -29,12 +31,12 @@ TEST(Scale, MrSigmaAtFortyEightProcessesCorrectMinority) {
   // 30 of 48 crash: quorum detectors keep working where majorities die.
   FailurePattern fp(48);
   for (Pid p = 18; p < 48; ++p) fp.set_crash(p, 30 + p);
-  auto oracle = testutil::omega_sigma(fp, 150, 2);
+  exp::AlgoOracles oracle(exp::Algo::kMrSigma, fp, 150, kAdversarial, 2);
   SchedulerOptions opts;
   opts.seed = 2;
   opts.max_steps = 600'000;
   const auto stats = run_consensus(fp, oracle.top(), make_mr_fd_quorum(48),
-                                   testutil::mixed_proposals(48), opts);
+                                   mixed_proposals(48), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
 }
@@ -43,12 +45,12 @@ TEST(Scale, MrMajorityAtSixtyFourProcesses) {
   // The full supported width.
   FailurePattern fp(64);
   for (Pid p = 50; p < 64; ++p) fp.set_crash(p, 60);
-  auto oracle = testutil::omega_only(fp, 150, 3);
+  exp::AlgoOracles oracle(exp::Algo::kMrMajority, fp, 150, kAdversarial, 3);
   SchedulerOptions opts;
   opts.seed = 3;
   opts.max_steps = 600'000;
   const auto stats = run_consensus(fp, oracle.top(), make_mr_majority(64),
-                                   testutil::mixed_proposals(64), opts);
+                                   mixed_proposals(64), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_uniform()) << stats.verdict.detail;
 }

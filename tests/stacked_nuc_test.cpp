@@ -7,45 +7,28 @@
 #include <gtest/gtest.h>
 
 #include "consensus_test_util.hpp"
-#include "exp/sweep.hpp"
-#include "fd/composed.hpp"
-#include "fd/sigma_nu.hpp"
 
 namespace nucon {
 namespace {
 
+using testutil::kAdversarial;
 using testutil::SweepParam;
 
 constexpr Time kStabilize = 80;
-
-testutil::OracleStack omega_sigma_nu_raw(const FailurePattern& fp,
-                                         std::uint64_t seed) {
-  testutil::OracleStack s;
-  OmegaOptions oo;
-  oo.stabilize_at = kStabilize;
-  oo.seed = seed;
-  s.first = std::make_unique<OmegaOracle>(fp, oo);
-  SigmaNuOptions so;
-  so.stabilize_at = kStabilize;
-  so.seed = seed + 0x51;
-  so.faulty = FaultyQuorumBehavior::kAdversarialDisjoint;
-  s.second = std::make_unique<SigmaNuOracle>(fp, so);
-  s.composed = std::make_unique<ComposedOracle>(*s.first, *s.second);
-  return s;
-}
 
 class StackedSweep : public testing::TestWithParam<SweepParam> {};
 
 TEST_P(StackedSweep, SolvesNonuniformConsensusFromRawSigmaNu) {
   const FailurePattern fp = testutil::sweep_pattern(GetParam(), kStabilize - 20);
-  auto oracle = omega_sigma_nu_raw(fp, GetParam().seed);
+  exp::AlgoOracles oracle(exp::Algo::kStacked, fp, kStabilize, kAdversarial,
+                          GetParam().seed);
 
   SchedulerOptions opts;
   opts.seed = GetParam().seed;
   opts.max_steps = 250'000;
   const auto stats =
       run_consensus(fp, oracle.top(), make_stacked_nuc(GetParam().n),
-                    testutil::mixed_proposals(GetParam().n), opts);
+                    mixed_proposals(GetParam().n), opts);
 
   EXPECT_TRUE(stats.all_correct_decided) << fp.to_string();
   EXPECT_TRUE(stats.verdict.termination) << stats.verdict.detail;
@@ -76,19 +59,19 @@ TEST(StackedNuc, ToleratesCorrectMinority) {
   fp.set_crash(1, 30);
   fp.set_crash(2, 45);
   fp.set_crash(3, 60);
-  auto oracle = omega_sigma_nu_raw(fp, 7);
+  exp::AlgoOracles oracle(exp::Algo::kStacked, fp, kStabilize, kAdversarial, 7);
   SchedulerOptions opts;
   opts.seed = 7;
   opts.max_steps = 250'000;
   const auto stats = run_consensus(fp, oracle.top(), make_stacked_nuc(4),
-                                   testutil::mixed_proposals(4), opts);
+                                   mixed_proposals(4), opts);
   EXPECT_TRUE(stats.all_correct_decided);
   EXPECT_TRUE(stats.verdict.solves_nonuniform()) << stats.verdict.detail;
 }
 
 TEST(StackedNuc, TransformationOutputsShrinkFromPi) {
   const FailurePattern fp(3);
-  auto oracle = omega_sigma_nu_raw(fp, 9);
+  exp::AlgoOracles oracle(exp::Algo::kStacked, fp, kStabilize, kAdversarial, 9);
   SchedulerOptions opts;
   opts.seed = 9;
   opts.max_steps = 250'000;
