@@ -142,7 +142,7 @@ void experiments() {
 
   // H3: where does a scheduler step go as n grows? One fresh collector per
   // n so each row is an independent per-phase breakdown; the same data
-  // lands in the report's "profiles" section for nucon_bench to track.
+  // lands in the report's "profiles" section.
   // n stops at 64 here to keep per-phase rows cheap; the H4 table below
   // carries the wide-set regime (kMaxProcesses is now 1024).
   {
@@ -191,8 +191,8 @@ void experiments() {
   // rows measure a completed consensus, not a truncation; small n runs
   // enough seeds to push each row's wall time past the steady-clock
   // noise floor (decide lands at ~10.5n^2 steps, so ~300k steps per row
-  // keeps the 10%-tolerance ledger guard on steps/s meaningful — a
-  // single n=16 run finishes in ~2 ms and its rate is timer jitter).
+  // keeps each steps/s figure above timer jitter — a single n=16 run
+  // finishes in ~2 ms).
   // Unlike H1-H3 these rows set the quorum redraw interval past the step
   // budget (hold = budget ticks, one window spanning the whole run): at
   // the default hold=8 the detector redraws its quorum dozens of times
@@ -203,8 +203,7 @@ void experiments() {
   // converge to (each process's quorum flips once, from the noisy to the
   // stable draw, at stabilization): decide lands at ~10n^2 steps and n
   // itself is the only variable.
-  // The "decided" column is the completion proof for n=256 and n=1000;
-  // the steps/s series is the scaling guard nucon_bench check tightens.
+  // The "decided" column is the completion proof for n=256 and n=1000.
   {
     const std::vector<Pid> ns = quick
                                     ? std::vector<Pid>{6, 16, 32, 64}

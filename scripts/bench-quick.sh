@@ -6,7 +6,8 @@
 # and delivers/sec per registry algorithm, bytes-copied-per-broadcast for
 # the shared-payload regression check, the sweep-engine throughput
 # section, and the H4 wide-set scaling rows (quick mode keeps the n=64
-# row so the ledger always carries one beyond-H3 scaling point). Then runs bench_model with NUCON_MODEL_QUICK=1, emitting
+# row, one scaling point beyond H3). Then runs bench_model with
+# NUCON_MODEL_QUICK=1, emitting
 # build/BENCH_model.json: the model-checking engine exhausting the depth-8
 # slice of the n=3 reference space (states/s, peak RSS, the dedup, POR and
 # interning anatomy), with the determinism cross-checks (the depth 10 and
@@ -23,12 +24,11 @@
 # See EXPERIMENTS.md "Throughput baseline", "Exhaustive model checking"
 # and "Coverage-guided fuzzing".
 #
-# Afterwards nucon_bench collects every BENCH_*.json into
-# build/BENCH_manifest.json (validating each against the report schema),
-# appends the run to the committed bench/history/ledger.jsonl trend
-# ledger, and prints the diff against the previous ledger entry
-# (informational here; `nucon_bench check` without --informational is the
-# gating flavor). See EXPERIMENTS.md "Profiling & trend tracking".
+# Every report is checked against the schema as it is written
+# (obs::write_report_json refuses a document that fails validation, and
+# the bench exits nonzero). The timings are single samples for reading,
+# not for comparing: perfbench/ is where two builds' timings are compared.
+# The script writes only under build/; it modifies no tracked file.
 #
 # Usage: scripts/bench-quick.sh   (from the repo root)
 set -e
@@ -37,14 +37,3 @@ cmake --preset default
 cmake --build --preset bench-quick
 cmake --build --preset fuzz-smoke
 echo "==> bench-quick: wrote build/BENCH_hotpath.json, build/BENCH_model.json, build/BENCH_fdqos.json and build/BENCH_fuzz.json"
-cmake --build build --target nucon_bench
-echo "==> nucon_bench manifest"
-build/tools/nucon_bench manifest --out build/BENCH_manifest.json \
-  build/BENCH_hotpath.json build/BENCH_model.json \
-  build/BENCH_fdqos.json build/BENCH_fuzz.json
-echo "==> nucon_bench record + trend check"
-NUCON_GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-  build/tools/nucon_bench record --history bench/history \
-  build/BENCH_hotpath.json build/BENCH_model.json \
-  build/BENCH_fdqos.json build/BENCH_fuzz.json
-build/tools/nucon_bench check --history bench/history --informational

@@ -20,7 +20,7 @@
 # suites, fdqos covers the timing-aware scheduler mode plus the
 # heartbeat-implemented detectors (the Omega election cases included,
 # timed and untimed), prof covers the hot-path profiling
-# probes and the trend/regression engine, and scale covers the wide
+# probes and the report writer, and scale covers the wide
 # ProcessSet boundaries plus the incremental QuorumHistory equivalence
 # oracle, oracle covers the detector-class property sweep and the
 # window memo's check against the stateless draw, and dag covers the
@@ -41,10 +41,9 @@
 # worth re-running under the sanitizers, the scale suite especially because the
 # heap-spilled set words are fresh allocator traffic), then runs the
 # quick throughput baselines plus the 10s fuzz smoke campaign
-# (scripts/bench-quick.sh) so a perf regression in the simulation core or
-# a lost rediscovery in the fuzzer shows up in the same pass, and finally
-# the informational bench-trend target (last-two-ledger-entries diff per
-# series; never fails the build).
+# (scripts/bench-quick.sh), so a bench that crashes or writes a report
+# that fails the schema, or a lost rediscovery in the fuzzer, shows up in
+# the same pass. Timings are compared between builds only by perfbench/.
 #
 # Usage: scripts/check-all.sh   (from the repo root)
 set -e
@@ -55,6 +54,4 @@ for wf in check-default check-debug check-asan check-tsan; do
 done
 echo "==> scripts/bench-quick.sh"
 scripts/bench-quick.sh
-echo "==> bench-trend (informational)"
-cmake --build build --target bench-trend
 echo "==> check-all: all workflows passed"

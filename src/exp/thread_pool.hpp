@@ -23,6 +23,10 @@
 
 namespace nucon::exp {
 
+/// The most workers a command-line --threads flag may ask for; the CLIs
+/// refuse larger values before any pool is built.
+inline constexpr unsigned kMaxThreads = 256;
+
 class ThreadPool {
  public:
   /// threads == 0 picks std::thread::hardware_concurrency() (minimum 1).

@@ -303,10 +303,11 @@ std::string report_markdown(const BenchReport& report) {
 
 bool write_report_json(const BenchReport& report, const std::string& path) {
   const std::string json = report_json(report, /*include_timings=*/true);
+  if (validate_report_json(json)) return false;
   // Write-to-temp-then-rename: a bench killed mid-write leaves at worst a
   // stale *.tmp, never a truncated BENCH_*.json that validate_report_json
-  // (or the trend ledger) would later choke on. rename(2) replaces an
-  // existing report atomically on every platform this builds on.
+  // would later choke on. rename(2) replaces an existing report
+  // atomically on every platform this builds on.
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
@@ -347,13 +348,10 @@ std::optional<std::string> validate_report_json(const std::string& json) {
   const auto doc = util::parse_json(json, &error);
   if (!doc) return "not valid JSON: " + error.to_string();
 
-  // Top-level shape: an object with the versioned header. v1 (the
-  // pre-profiling schema) stays readable: the bench/history ledger and
-  // archived BENCH_*.json documents predate the "profiles" section.
+  // Top-level shape: an object with the versioned header.
   const util::JsonValue* v = doc->find("v");
   if (v == nullptr) return "missing schema version field \"v\"";
-  const auto version = v->int64();
-  if (version != kReportSchemaVersion && version != 1) {
+  if (v->int64() != kReportSchemaVersion) {
     return "unsupported report schema version " + v->string;
   }
   const util::JsonValue* name = doc->find("name");

@@ -7,8 +7,7 @@
 //     metrics, failure artifacts with attached trace paths, wall-clock
 //     per phase);
 //   - every bench binary funnels its experiment tables and sweep results
-//     through a BenchReport and writes BENCH_<name>.json, populating the
-//     perf trajectory;
+//     through a BenchReport and writes BENCH_<name>.json;
 //   - report_markdown() renders the same data as the markdown tables
 //     EXPERIMENTS.md used to hand-maintain.
 //
@@ -29,9 +28,8 @@
 namespace nucon::obs {
 
 /// Report schema version, stamped as `"v"` into every emitted JSON
-/// document and checked by validate_report_json (which still accepts v1
-/// documents: the bench/history ledger may hold pre-profiling entries).
-/// v2 added the "profiles" section (hot-path phase breakdowns).
+/// document and required by validate_report_json. v2 added the
+/// "profiles" section (hot-path phase breakdowns).
 inline constexpr std::int64_t kReportSchemaVersion = 2;
 
 /// One folded sweep: verdict counts, cost means, metrics, failures.
@@ -133,7 +131,9 @@ struct BenchReport {
 /// a summary table over the sweep sections.
 [[nodiscard]] std::string report_markdown(const BenchReport& report);
 
-/// Writes report_json(report, true) to `path`; false on I/O failure.
+/// Writes report_json(report, true) to `path`. Returns false, and writes
+/// nothing, when the document fails validate_report_json (a NaN timing
+/// renders as `nan`, which is not JSON); false on I/O failure too.
 /// Atomic: the document is written to `path + ".tmp"` and renamed into
 /// place, so an interrupted bench can never leave a truncated JSON behind
 /// (re-runs replace the previous report either way).

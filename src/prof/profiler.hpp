@@ -34,9 +34,9 @@ class MetricsRegistry;
 
 namespace nucon::prof {
 
-/// The scheduler hot-loop taxonomy (EXPERIMENTS.md "Profiling & trend
-/// tracking"). kStep is the envelope: the whole per-process step body,
-/// which the other phases partition via StepProbe::lap.
+/// The scheduler hot-loop taxonomy (EXPERIMENTS.md "Profiling"). kStep
+/// is the envelope: the whole per-process step body, which the other
+/// phases partition via StepProbe::lap.
 enum class Phase : int {
   kStep = 0,        ///< envelope: one whole live-process step
   kDeliveryChoice,  ///< injection hook + delivery policy + queue take

@@ -264,12 +264,6 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-std::optional<double> JsonValue::number_at(const std::string& key) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr || !v->is_number()) return std::nullopt;
-  return v->number;
-}
-
 std::optional<std::string> JsonValue::string_at(const std::string& key) const {
   const JsonValue* v = find(key);
   if (v == nullptr || !v->is_string()) return std::nullopt;

@@ -1,12 +1,12 @@
 // The repo's one JSON reader, plus the two helpers every JSON writer uses.
 //
-// Three kinds of document are read back: BENCH_*.json reports
-// (obs::validate_report_json, the trend engine in prof/trend.cpp), the
-// bench/history ledger lines, and the JSONL traces (trace::parse_trace,
-// one document per line). All go through parse_json, so all get the same
+// Two kinds of document are read back: BENCH_*.json reports
+// (obs::validate_report_json, which write_report_json also runs on every
+// report before it lands) and the JSONL traces (trace::parse_trace, one
+// document per line). Both go through parse_json, so both get the same
 // syntax check, the same nesting cap and the same exact integers:
 //   - objects keep insertion order (the writers emit deterministically
-//     ordered documents and the trend tables preserve that order);
+//     ordered documents, and readers see members in that order);
 //   - numbers are doubles, and each keeps its token text, so int64() and
 //     uint64() read integers back exactly over their whole ranges;
 //   - nesting deeper than kMaxJsonDepth is an error, never a stack
@@ -59,8 +59,7 @@ struct JsonValue {
   /// Member lookup on an object (nullptr when absent or not an object).
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
 
-  /// Convenience accessors returning nullopt on kind mismatch / absence.
-  [[nodiscard]] std::optional<double> number_at(const std::string& key) const;
+  /// A string member's content; nullopt when absent or not a string.
   [[nodiscard]] std::optional<std::string> string_at(
       const std::string& key) const;
 };

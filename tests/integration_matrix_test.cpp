@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <type_traits>
 
 #include "consensus_test_util.hpp"
 
@@ -23,12 +24,16 @@ constexpr exp::Algo kMatrixAlgos[] = {
     exp::Algo::kAnuc,       exp::Algo::kStacked, exp::Algo::kFromScratch,
 };
 
+// ctest names each test after gtest's print of its parameter, which for a
+// struct is every byte, padding included. `faults` is 8 bytes wide so the
+// struct has no padding and the name holds no uninitialized bytes.
 struct MatrixParam {
   int algo;  // index into kMatrixAlgos
   Pid n;
-  Pid faults;
+  std::int64_t faults;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<MatrixParam>);
 
 /// The registry name as a test-name token: "mr-majority" -> "MrMajority".
 std::string test_name_of(exp::Algo a) {
@@ -57,7 +62,8 @@ TEST_P(IntegrationMatrix, SolvesItsConsensusVariant) {
   const exp::Algo algo = kMatrixAlgos[index];
   constexpr Time kStabilize = 120;
   const FailurePattern fp =
-      testutil::sweep_pattern({n, faults, seed}, kStabilize - 20);
+      testutil::sweep_pattern({n, static_cast<Pid>(faults), seed},
+                              kStabilize - 20);
   ASSERT_TRUE(!needs_majority(algo) || is_majority(fp.correct(), n));
 
   exp::AlgoOracles stack(algo, fp, kStabilize, kAdversarial, seed);

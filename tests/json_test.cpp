@@ -1,13 +1,12 @@
 // The one JSON reader (util/minijson) and the readers built on it:
-// obs::validate_report_json, prof::parse_ledger_line and
-// trace::parse_trace.
+// obs::validate_report_json and trace::parse_trace.
 //
 // Pins the nesting cap, exact integers, the number and string syntax,
 // the writer helpers, the trace reader's type and id-range checks, the
-// report validator's per-section members, and a hostile-input sweep:
-// every prefix and every single-byte substitution of a report, a ledger
-// line and a golden-trace excerpt must end in a value or an error, and a
-// trace that parses must hold only in-range process ids.
+// report validator's schema version and per-section members, and a
+// hostile-input sweep: every prefix and every single-byte substitution
+// of a report and a golden-trace excerpt must end in a value or an
+// error, and a trace that parses must hold only in-range process ids.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +19,6 @@
 #include <string_view>
 
 #include "obs/report.hpp"
-#include "prof/trend.hpp"
 #include "trace/trace_reader.hpp"
 #include "util/minijson.hpp"
 
@@ -52,10 +50,6 @@ TEST(Json, DeepNestingIsAnErrorNotACrash) {
         << error.message;
 
     EXPECT_TRUE(obs::validate_report_json(deep).has_value());
-
-    std::string ledger_error;
-    EXPECT_FALSE(prof::parse_ledger_line(deep, &ledger_error).has_value());
-    EXPECT_FALSE(ledger_error.empty());
 
     trace::ParseError trace_error;
     EXPECT_FALSE(trace::parse_trace(kMeta + deep + "\n", &trace_error));
@@ -373,9 +367,10 @@ TEST(ReportValidator, EverySectionNeedsItsOwnMembers) {
   EXPECT_TRUE(
       obs::validate_report_json(R"([{"v":2,"name":"x","tables":[],"sweeps":[]}])")
           .has_value());
-  EXPECT_EQ(obs::validate_report_json(
-                R"({"v":1,"name":"","tables":[],"sweeps":[]})"),
-            std::nullopt);
+  // Only the current schema version is accepted.
+  EXPECT_TRUE(obs::validate_report_json(
+                  R"({"v":1,"name":"","tables":[],"sweeps":[]})")
+                  .has_value());
 }
 
 // --- hostile input ---------------------------------------------------------
@@ -406,29 +401,8 @@ TEST(HostileJson, ReportMutationsEndInAValueOrAnError) {
     util::JsonParseError error;
     const bool parsed = util::parse_json(s, &error).has_value();
     (void)obs::validate_report_json(s);
-    std::string trend_error;
-    const bool trended = prof::extract_trend(s, &trend_error).has_value();
-    return (parsed || !error.message.empty()) &&
-           (trended || !trend_error.empty());
+    return parsed || !error.message.empty();
   });
-  EXPECT_EQ(refused, std::nullopt) << *refused;
-}
-
-TEST(HostileJson, LedgerLineMutationsEndInAValueOrAnError) {
-  prof::TrendEntry e;
-  e.bench = "hotpath";
-  e.machine = "vm";
-  e.git_sha = "ab73ba6";
-  e.recorded_at = "2026-08-07T09:38:23Z";
-  e.metrics["profile:anuc-n16:ns_per_step"] = 231864.6787935872;
-  e.metrics["sweep:main:steps_per_second"] = -1.5e-7;
-  e.metrics["table:H4:n=64:steps/s"] = 12;
-  const auto refused =
-      first_refused_mutation(prof::ledger_line(e), [](const std::string& s) {
-        std::string error;
-        return prof::parse_ledger_line(s, &error).has_value() ||
-               !error.empty();
-      });
   EXPECT_EQ(refused, std::nullopt) << *refused;
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "fd/history.hpp"
 #include "fd/scripted.hpp"
 
@@ -35,12 +37,16 @@ MajorityOutcome run_majority_sigma(const FailurePattern& fp, Pid t,
   return outcome;
 }
 
+// ctest names each test after gtest's print of its parameter, which for a
+// struct is every byte, padding included. `faults` is 8 bytes wide so the
+// struct has no padding and the name holds no uninitialized bytes.
 struct MajorityParam {
   Pid n;
   Pid t;
-  Pid faults;
+  std::int64_t faults;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<MajorityParam>);
 
 class MajoritySweep : public testing::TestWithParam<MajorityParam> {};
 
@@ -48,7 +54,8 @@ TEST_P(MajoritySweep, EmulatedHistoryIsInSigma) {
   const auto [n, t, faults, seed] = GetParam();
   ASSERT_LT(2 * t, n);  // the theorem's precondition
   Rng rng(seed * 31 + 7);
-  FailurePattern fp = Environment{n, t}.sample(rng, faults, 30);
+  FailurePattern fp =
+      Environment{n, t}.sample(rng, static_cast<Pid>(faults), 30);
 
   const MajorityOutcome outcome = run_majority_sigma(fp, t, seed, 4000);
   ASSERT_FALSE(outcome.emulated.empty());
@@ -61,7 +68,8 @@ TEST_P(MajoritySweep, EmulatedHistoryIsInSigma) {
 TEST_P(MajoritySweep, AllQuorumsAreMajorities) {
   const auto [n, t, faults, seed] = GetParam();
   Rng rng(seed * 131 + 3);
-  FailurePattern fp = Environment{n, t}.sample(rng, faults, 30);
+  FailurePattern fp =
+      Environment{n, t}.sample(rng, static_cast<Pid>(faults), 30);
 
   const MajorityOutcome outcome = run_majority_sigma(fp, t, seed, 3000);
   for (const Sample& s : outcome.emulated.samples()) {

@@ -15,8 +15,8 @@
 //   --n N            system size                        (default 5)
 //   --faults F       number of crashes                  (default 1)
 //   --seed S         first scheduler/oracle seed        (default 1)
-//   --seeds K        run K consecutive seeds            (default 1)
-//   --threads T      worker threads for the sweep       (default 1)
+//   --seeds K        run K consecutive seeds, K <= 1000000 (default 1)
+//   --threads T      worker threads for the sweep, T <= 256 (default 1)
 //   --stabilize T    oracle stabilization time          (default 120)
 //   --crash-at T     pin all crashes at time T (0 = spread randomly)
 //   --max-steps M    step budget per run                (default 200000)
@@ -31,17 +31,24 @@
 //                    (multi-seed runs write FILE.seed<k>); inspect with
 //                    tools/trace_dump
 //   --replay 'A'     serially re-execute one replay artifact and exit
+//
+// Numbers must be whole base-10 tokens in range ("5x", "-1" and overflow
+// are refused); a bad flag or value prints usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "exp/sweep.hpp"
+#include "exp/thread_pool.hpp"
 #include "sim/trace.hpp"
+#include "util/parse_number.hpp"
 
 using namespace nucon;
 
 namespace {
+
+/// The most consecutive seeds one invocation runs (points are built up
+/// front, one per seed).
+constexpr int kMaxSeeds = 1'000'000;
 
 struct Cli {
   std::string algo = "anuc";
@@ -147,42 +154,49 @@ bool write_trace(const exp::SweepPoint& pt, const std::string& path) {
 
 int main(int argc, char** argv) {
   Cli cli;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    const char* value = nullptr;
-    if (flag == "--algo" && (value = next())) {
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (value == nullptr) {
+      std::fprintf(stderr, "missing value for flag: %s\n", flag.c_str());
+      return usage(argv[0]);
+    }
+    bool ok = true;
+    if (flag == "--algo") {
       cli.algo = value;
-    } else if (flag == "--n" && (value = next())) {
-      cli.n = static_cast<Pid>(std::atoi(value));
-    } else if (flag == "--faults" && (value = next())) {
-      cli.faults = static_cast<Pid>(std::atoi(value));
-    } else if (flag == "--seed" && (value = next())) {
-      cli.seed = std::strtoull(value, nullptr, 10);
-    } else if (flag == "--seeds" && (value = next())) {
-      cli.seeds = std::atoi(value);
-    } else if (flag == "--threads" && (value = next())) {
-      cli.threads = std::atoi(value);
-    } else if (flag == "--stabilize" && (value = next())) {
-      cli.stabilize = std::atoll(value);
-    } else if (flag == "--crash-at" && (value = next())) {
-      cli.crash_at = std::atoll(value);
-    } else if (flag == "--max-steps" && (value = next())) {
-      cli.max_steps = std::atoll(value);
-    } else if (flag == "--faulty-mode" && (value = next())) {
+    } else if (flag == "--n") {
+      ok = util::parse_number(value, cli.n, Pid{2}, kMaxProcesses);
+    } else if (flag == "--faults") {
+      ok = util::parse_number(value, cli.faults, Pid{0}, kMaxProcesses - 1);
+    } else if (flag == "--seed") {
+      ok = util::parse_number(value, cli.seed, std::uint64_t{0});
+    } else if (flag == "--seeds") {
+      ok = util::parse_number(value, cli.seeds, 1, kMaxSeeds);
+    } else if (flag == "--threads") {
+      ok = util::parse_number(value, cli.threads, 1,
+                              static_cast<int>(exp::kMaxThreads));
+    } else if (flag == "--stabilize") {
+      ok = util::parse_number(value, cli.stabilize, Time{0});
+    } else if (flag == "--crash-at") {
+      ok = util::parse_number(value, cli.crash_at, Time{0});
+    } else if (flag == "--max-steps") {
+      ok = util::parse_number(value, cli.max_steps, std::int64_t{1});
+    } else if (flag == "--faulty-mode") {
       cli.faulty_mode = value;
-    } else if (flag == "--fd" && (value = next())) {
+    } else if (flag == "--fd") {
       cli.fd = value;
-    } else if (flag == "--print-steps" && (value = next())) {
-      cli.print_steps = static_cast<std::size_t>(std::atoll(value));
-    } else if (flag == "--trace" && (value = next())) {
+    } else if (flag == "--print-steps") {
+      ok = util::parse_number(value, cli.print_steps, std::size_t{0});
+    } else if (flag == "--trace") {
       cli.trace_file = value;
-    } else if (flag == "--replay" && (value = next())) {
+    } else if (flag == "--replay") {
       cli.replay = value;
     } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
+      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+      return usage(argv[0]);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), value);
       return usage(argv[0]);
     }
   }
@@ -207,9 +221,7 @@ int main(int argc, char** argv) {
   const auto algo = exp::parse_algo(cli.algo);
   const auto mode = parse_mode(cli.faulty_mode);
   const auto fd = parse_fd(cli.fd);
-  if (!algo || !mode || !fd || cli.n < 2 || cli.n > kMaxProcesses ||
-      cli.faults < 0 || cli.faults >= cli.n || cli.seeds < 1 ||
-      cli.threads < 1 ||
+  if (!algo || !mode || !fd || cli.faults >= cli.n ||
       (*fd == exp::FdSource::kImplemented &&
        !exp::supports_implemented_fd(*algo))) {
     if (!algo) {
@@ -225,9 +237,8 @@ int main(int argc, char** argv) {
                    "--fd implemented: %s consumes no Omega/<>S oracle layer\n",
                    cli.algo.c_str());
     } else {
-      std::fprintf(stderr,
-                   "invalid combination: n=%d faults=%d seeds=%d threads=%d\n",
-                   cli.n, cli.faults, cli.seeds, cli.threads);
+      std::fprintf(stderr, "invalid combination: n=%d faults=%d\n", cli.n,
+                   cli.faults);
     }
     return usage(argv[0]);
   }

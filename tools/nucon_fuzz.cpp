@@ -21,18 +21,22 @@
 //   --seed S           master seed (default 1)
 //   --max-execs E      execution budget (default 2048)
 //   --time-budget SEC  wall-clock box, checked per batch (default off)
-//   --threads T        worker threads (default 1; 0 = hardware)
+//   --threads T        worker threads, T <= 256 (default 1; 0 = hardware)
 //   --max-finds F      stop after F distinct finds (default 4)
 //   --corpus-dir DIR   write corpus + find artifacts (default off)
 //   --report PATH      write the BENCH_fuzz.json report (default off)
 //   --no-minimize      keep finds as discovered
 //   --expect-find      exit 1 unless at least one find was made
+//
+// Numbers must be whole tokens in range ("4x", "-1" and overflow are
+// refused); a bad flag or value prints usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "exp/thread_pool.hpp"
 #include "fuzz/engine.hpp"
+#include "util/parse_number.hpp"
 
 using namespace nucon;
 
@@ -59,12 +63,21 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+    if (flag == "--no-minimize") {
+      opts.minimize = false;
+      continue;
+    }
+    if (flag == "--expect-find") {
+      expect_find = true;
+      continue;
+    }
+    const char* v = i + 1 < argc ? argv[++i] : nullptr;
+    if (v == nullptr) {
+      std::fprintf(stderr, "missing value for flag: %s\n", flag.c_str());
+      return usage(argv[0]);
+    }
+    bool ok = true;
     if (flag == "--algo") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
       // The paper's broken substitution goes by its file name too.
       const std::string name = std::strcmp(v, "naive_sigma_nu") == 0
                                    ? "naive"
@@ -76,51 +89,31 @@ int main(int argc, char** argv) {
       }
       opts.target.algo = *a;
     } else if (flag == "--n") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.target.n = static_cast<Pid>(std::atoi(v));
+      ok = util::parse_number(v, opts.target.n, Pid{2}, kMaxProcesses);
     } else if (flag == "--stabilize") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.target.stabilize = std::atoll(v);
+      ok = util::parse_number(v, opts.target.stabilize, Time{0});
     } else if (flag == "--max-steps") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.target.max_steps = std::atoll(v);
+      ok = util::parse_number(v, opts.target.max_steps, std::int64_t{1});
     } else if (flag == "--seed") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.master_seed = std::strtoull(v, nullptr, 10);
+      ok = util::parse_number(v, opts.master_seed, std::uint64_t{0});
     } else if (flag == "--max-execs") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.max_execs = static_cast<std::size_t>(std::atoll(v));
+      ok = util::parse_number(v, opts.max_execs, std::size_t{0});
     } else if (flag == "--time-budget") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.time_budget_seconds = std::atof(v);
+      ok = util::parse_number(v, opts.time_budget_seconds, 0.0);
     } else if (flag == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.threads = static_cast<unsigned>(std::atoi(v));
+      ok = util::parse_number(v, opts.threads, 0u, exp::kMaxThreads);
     } else if (flag == "--max-finds") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.max_finds = static_cast<std::size_t>(std::atoll(v));
+      ok = util::parse_number(v, opts.max_finds, std::size_t{0});
     } else if (flag == "--corpus-dir") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
       corpus_dir = v;
     } else if (flag == "--report") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
       report_path = v;
-    } else if (flag == "--no-minimize") {
-      opts.minimize = false;
-    } else if (flag == "--expect-find") {
-      expect_find = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+      return usage(argv[0]);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), v);
       return usage(argv[0]);
     }
   }

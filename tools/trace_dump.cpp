@@ -17,7 +17,6 @@
 //   --diff A B      compare two traces: report the first divergent event
 //                   with the causal context of each side
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -28,6 +27,7 @@
 #include "obs/trace_diff.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace_reader.hpp"
+#include "util/parse_number.hpp"
 
 using namespace nucon;
 
@@ -200,7 +200,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       metrics = true;
     } else if (std::strcmp(argv[i], "--process") == 0 && i + 1 < argc) {
-      only_process = static_cast<Pid>(std::atoi(argv[++i]));
+      if (!util::parse_number(argv[++i], only_process, Pid{0},
+                              kMaxProcesses - 1)) {
+        std::fprintf(stderr, "invalid process id: %s\n", argv[i]);
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--diff") == 0 && i + 2 < argc) {
       return run_diff(argv[i + 1], argv[i + 2]);
     } else if (argv[i][0] != '-' && path.empty()) {

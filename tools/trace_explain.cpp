@@ -20,7 +20,6 @@
 //   --json        emit one JSON object per explained decide instead of text
 //   --process P   explain process P's decision only
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -29,6 +28,7 @@
 
 #include "obs/causal_graph.hpp"
 #include "obs/provenance.hpp"
+#include "util/parse_number.hpp"
 
 using namespace nucon;
 
@@ -50,7 +50,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--process") == 0 && i + 1 < argc) {
-      only_process = static_cast<Pid>(std::atoi(argv[++i]));
+      if (!util::parse_number(argv[++i], only_process, Pid{0},
+                              kMaxProcesses - 1)) {
+        std::fprintf(stderr, "invalid process id: %s\n", argv[i]);
+        return usage(argv[0]);
+      }
     } else if (argv[i][0] != '-' && path.empty()) {
       path = argv[i];
     } else {
