@@ -204,10 +204,12 @@ void experiments() {
   // stable draw, at stabilization): decide lands at ~10n^2 steps and n
   // itself is the only variable.
   // The "decided" column is the completion proof for n=256 and n=1000.
+  // n=128 is perfbench's `anuc-stable` configuration (n, faults, budget
+  // and hold), on the grid's own seed.
   {
-    const std::vector<Pid> ns = quick
-                                    ? std::vector<Pid>{6, 16, 32, 64}
-                                    : std::vector<Pid>{6, 16, 32, 64, 256, 1000};
+    const std::vector<Pid> ns =
+        quick ? std::vector<Pid>{6, 16, 32, 64}
+              : std::vector<Pid>{6, 16, 32, 64, 128, 256, 1000};
     TextTable t({"n", "steps/s", "ns/step", "steps", "decided", "wall_s"});
     for (const Pid pn : ns) {
       const std::int64_t budget =

@@ -145,12 +145,12 @@ bool BenOr::restore_state(ByteReader& r) {
   const auto round = r.round();
   const auto decided_round = r.round();
   const auto phase = r.u8();
-  const auto has_decided = r.u8();
+  const auto has_decided = r.flag();
   if (!x || !round || !decided_round || !phase || *phase > 1 || !has_decided) {
     return false;
   }
   std::optional<Value> decided;
-  if (*has_decided != 0) {
+  if (*has_decided) {
     const auto v = r.svarint();
     if (!v) return false;
     decided = *v;
@@ -166,9 +166,9 @@ bool BenOr::restore_state(ByteReader& r) {
   const auto slot = [&r, this](std::vector<std::optional<Value>>& arr,
                                bool question) {
     for (Pid q = 0; q < n_; ++q) {
-      const auto has = r.u8();
+      const auto has = r.flag();
       if (!has) return false;
-      if (*has != 0) {
+      if (*has) {
         const auto v = r.svarint();
         if (!v || (*v != 0 && *v != 1 && !(question && *v == kQuestion))) {
           return false;

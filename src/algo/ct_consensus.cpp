@@ -188,19 +188,19 @@ bool CtConsensus::restore_state(ByteReader& r) {
   const auto round = r.round();
   const auto phase = r.u8();
   const auto select_value = r.svarint();
-  const auto has_decided = r.u8();
+  const auto has_decided = r.flag();
   if (!x || !ts || !round || !phase || *phase > 2 || !select_value ||
       !has_decided) {
     return false;
   }
   std::optional<Value> decided;
-  if (*has_decided != 0) {
+  if (*has_decided) {
     const auto v = r.svarint();
     if (!v) return false;
     decided = *v;
   }
   const auto decided_round = r.round();
-  const auto flooded = r.u8();
+  const auto flooded = r.flag();
   const auto rounds = r.uvarint();
   if (!decided_round || !flooded || !rounds) return false;
 
@@ -217,9 +217,9 @@ bool CtConsensus::restore_state(ByteReader& r) {
       if (!from || *from >= n_ || !value || !est_ts) return false;
       box.estimates[*from] = {*value, *est_ts};
     }
-    const auto has_selection = r.u8();
+    const auto has_selection = r.flag();
     if (!has_selection) return false;
-    if (*has_selection != 0) {
+    if (*has_selection) {
       const auto v = r.svarint();
       if (!v) return false;
       box.selection = *v;
@@ -238,7 +238,7 @@ bool CtConsensus::restore_state(ByteReader& r) {
   select_value_ = *select_value;
   decided_ = decided;
   decided_round_ = *decided_round;
-  flooded_decide_ = *flooded != 0;
+  flooded_decide_ = *flooded;
   inbox_ = std::move(inbox);
   return true;
 }

@@ -109,7 +109,7 @@ void MrConsensus::advance(const FdValue& d, std::vector<Outgoing>& out) {
         }
       } else {
         if (!d.has_quorum()) return;
-        const ProcessSet q = d.quorum();
+        const ProcessSet& q = d.quorum();
         if (!quorum_complete(msgs.rep, q)) return;
         // Propose v iff the quorum unanimously reported v.
         bool unanimous = true;
@@ -185,10 +185,10 @@ bool MrConsensus::restore_state(ByteReader& r) {
   const auto x = r.svarint();
   const auto round = r.round();
   const auto phase = r.u8();
-  const auto has_decided = r.u8();
+  const auto has_decided = r.flag();
   if (!x || !round || !phase || *phase > 2 || !has_decided) return false;
   std::optional<Value> decided;
-  if (*has_decided != 0) {
+  if (*has_decided) {
     const auto v = r.svarint();
     if (!v) return false;
     decided = *v;
@@ -200,9 +200,9 @@ bool MrConsensus::restore_state(ByteReader& r) {
   std::map<int, RoundMsgs> inbox;
   const auto slot = [&r, this](std::vector<std::optional<Value>>& arr) {
     for (Pid q = 0; q < opts_.n; ++q) {
-      const auto has = r.u8();
+      const auto has = r.flag();
       if (!has) return false;
-      if (*has != 0) {
+      if (*has) {
         const auto v = r.svarint();
         if (!v) return false;
         arr[q] = *v;

@@ -44,8 +44,8 @@ Anuc::Anuc(Pid self, Value proposal, Pid n, AnucOptions options)
   assert(proposal != kQuestion);
 }
 
-ProcessSet Anuc::get_quorum(const FdValue& d) {
-  const ProcessSet q = d.quorum();
+const ProcessSet& Anuc::get_quorum(const FdValue& d) {
+  const ProcessSet& q = d.quorum();
   history_.insert(self_, q);  // Fig. 5 line 49
   return q;
 }
@@ -166,7 +166,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
 
     if (phase_ == Phase::kAwaitReports) {
       // Fig. 4 lines 20-24.
-      const ProcessSet q = get_quorum(d);
+      const ProcessSet& q = get_quorum(d);
       bool complete = !q.empty();
       for (Pid member : q) complete = complete && msgs.rep[member].has_value();
       if (!complete) return;
@@ -188,7 +188,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
     // Phase::kAwaitProposals — Fig. 4 lines 25-33. Each pass is one
     // iteration of the outer repeat: re-read the quorum, require all its
     // proposals, import their histories, and re-check distrust.
-    const ProcessSet q = get_quorum(d);
+    const ProcessSet& q = get_quorum(d);
     bool complete = !q.empty();
     for (Pid member : q) complete = complete && msgs.prop[member].has_value();
     if (!complete) return;
@@ -222,7 +222,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
 
     // Line 30: decide only with unanimity AND the quorum-awareness bound
     // seen[Q] < k (the latter can be ablated for the E11 experiment).
-    const SawState& state = saw_[q];
+    SawState& state = saw_[q];
     const bool aware = !options_.use_quorum_awareness ||
                        (state.seen && *state.seen < round_);
     if (all_v && seen_v && aware && !decided_) {
@@ -231,9 +231,8 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
     }
 
     // Lines 31-33: first use of this quorum to collect proposals.
-    SawState& mutable_state = saw_[q];
-    if (!mutable_state.sent) {
-      mutable_state.sent = true;
+    if (!state.sent) {
+      state.sent = true;
       scratch_.reset();
       scratch_.u8(kTagSaw);
       scratch_.process_set(q, n_);
@@ -297,10 +296,10 @@ bool Anuc::restore_state(ByteReader& r) {
   const auto x = r.svarint();
   const auto round = r.round();
   const auto phase = r.u8();
-  const auto has_decided = r.u8();
+  const auto has_decided = r.flag();
   if (!x || !round || !phase || *phase > 2 || !has_decided) return false;
   std::optional<Value> decided;
-  if (*has_decided != 0) {
+  if (*has_decided) {
     const auto v = r.svarint();
     if (!v) return false;
     decided = *v;
@@ -316,9 +315,9 @@ bool Anuc::restore_state(ByteReader& r) {
   const auto history_slot =
       [&r, this](std::vector<std::optional<HistoryMsg>>& arr) {
         for (Pid q = 0; q < n_; ++q) {
-          const auto has = r.u8();
+          const auto has = r.flag();
           if (!has) return false;
-          if (*has != 0) {
+          if (*has) {
             const auto v = r.svarint();
             auto h = QuorumHistory::decode(r);
             if (!v || !h || h->n() != n_) return false;
@@ -335,9 +334,9 @@ bool Anuc::restore_state(ByteReader& r) {
     msgs.ensure(n_);
     if (!history_slot(msgs.lead)) return false;
     for (Pid q = 0; q < n_; ++q) {
-      const auto has = r.u8();
+      const auto has = r.flag();
       if (!has) return false;
-      if (*has != 0) {
+      if (*has) {
         const auto v = r.svarint();
         if (!v) return false;
         msgs.rep[q] = *v;
@@ -351,16 +350,16 @@ bool Anuc::restore_state(ByteReader& r) {
   std::map<ProcessSet, SawState> saw;
   for (std::uint64_t i = 0; i < *saw_count; ++i) {
     const auto quorum = r.process_set(n_);
-    const auto sent = r.u8();
+    const auto sent = r.flag();
     const auto acks = r.process_set(n_);
     const auto max_ack_round = r.round();
-    const auto has_seen = r.u8();
+    const auto has_seen = r.flag();
     if (!quorum || !sent || !acks || !max_ack_round || !has_seen) return false;
     SawState& state = saw[*quorum];
-    state.sent = *sent != 0;
+    state.sent = *sent;
     state.acks = *acks;
     state.max_ack_round = *max_ack_round;
-    if (*has_seen != 0) {
+    if (*has_seen) {
       const auto seen = r.round();
       if (!seen) return false;
       state.seen = *seen;

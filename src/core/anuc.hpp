@@ -117,8 +117,9 @@ class Anuc final : public ConsensusAutomaton {
   void start_round(std::vector<Outgoing>& out);
 
   /// get_quorum() (Fig. 5 lines 47-50): reads the Sigma^nu+ component and
-  /// records it as one of this process's own quorums.
-  ProcessSet get_quorum(const FdValue& d);
+  /// records it as one of this process's own quorums. The result refers
+  /// into d.
+  const ProcessSet& get_quorum(const FdValue& d);
 
   [[nodiscard]] bool distrusts(Pid q);
 

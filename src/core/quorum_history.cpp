@@ -51,12 +51,6 @@ void to_row(const ProcessSet& s, std::size_t w, RowBuf& row) {
   for (std::size_t i = 0; i < w; ++i) row[i] = s.word(static_cast<int>(i));
 }
 
-ProcessSet from_row(const Word* row, std::size_t w) {
-  ProcessSet s;
-  for (std::size_t i = 0; i < w; ++i) s.set_word(static_cast<int>(i), row[i]);
-  return s;
-}
-
 }  // namespace
 
 QuorumHistory::QuorumHistory(Pid n)
@@ -96,7 +90,8 @@ std::vector<ProcessSet> QuorumHistory::of(Pid q) const {
   std::vector<ProcessSet> out;
   out.reserve(count(q));
   for (std::size_t i = 0; i < rows.size(); i += w_) {
-    out.push_back(from_row(rows.data() + i, w_));
+    out.push_back(
+        ProcessSet::from_words(rows.data() + i, static_cast<int>(w_)));
   }
   return out;
 }

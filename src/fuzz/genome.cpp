@@ -78,14 +78,14 @@ class PerturbedOracle final : public Oracle {
           if (v.has_quorum()) {
             ProcessSet q = v.quorum();
             q.erase(tgt);
-            v.set_quorum(q);
+            v.set_quorum(std::move(q));
           }
           break;
         case PerturbKind::kQuorumAdd:
           if (v.has_quorum()) {
             ProcessSet q = v.quorum();
             q.insert(tgt);
-            v.set_quorum(q);
+            v.set_quorum(std::move(q));
           }
           break;
         case PerturbKind::kSuspectFlip:
@@ -96,7 +96,7 @@ class PerturbedOracle final : public Oracle {
             } else {
               s.insert(tgt);
             }
-            v.set_suspects(s);
+            v.set_suspects(std::move(s));
           }
           break;
       }

@@ -52,7 +52,7 @@ void AbdRegister::on_message(Pid from, ByteView payload,
     case kTagReadReply: {
       const auto ts = r.uvarint();
       const auto writer = r.pid();
-      const auto initial = r.u8();
+      const auto initial = r.flag();
       const auto value = r.svarint();
       if (!ts || !writer || !initial || !value || !r.done()) return;
       if (!active_ || pending_.phase != 1 || *opid != pending_.opid) return;
@@ -128,7 +128,7 @@ void AbdRegister::advance(const FdValue& d, std::vector<Outgoing>& out) {
   }
 
   if (!d.has_quorum()) return;
-  const ProcessSet quorum = d.quorum();
+  const ProcessSet& quorum = d.quorum();
   if (quorum.empty() || !quorum.is_subset_of(pending_.replied)) return;
 
   if (pending_.phase == 1) {

@@ -196,19 +196,20 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
       if (delivery) msg = buffer.take(p, delivery->index);
       probe.lap(prof::Phase::kDeliveryChoice);
 
-      const FdValue d = oracle.value(p, now);
+      // The detector value lives in the step record; everything below
+      // reads it there, so an unrecorded step copies no set.
+      StepRecord rec;
+      rec.d = oracle.value(p, now);
       probe.lap(prof::Phase::kOracleSample);
 
-      StepRecord rec;
       rec.p = p;
-      rec.d = d;
       rec.t = now;
       if (msg) rec.received = msg->id;
       if (opts.record_run) result.run.steps.push_back(rec);
 
       ++m_steps;
       NUCON_TRACE(opts.trace, on_step(rec));
-      NUCON_TRACE(opts.trace, on_oracle_query(p, now, d));
+      NUCON_TRACE(opts.trace, on_oracle_query(p, now, rec.d));
       if (msg) {
         ++m_delivers;
         m_forced += delivery->forced;
@@ -220,7 +221,8 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
       }
       probe.lap(prof::Phase::kTraceHook);
 
-      deliver(*result.automata[static_cast<std::size_t>(p)], msg, d, sends);
+      deliver(*result.automata[static_cast<std::size_t>(p)], msg, rec.d,
+              sends);
       probe.lap(prof::Phase::kAutomatonStep);
 
       for (Outgoing& o : sends) {

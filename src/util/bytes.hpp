@@ -106,6 +106,14 @@ class ByteReader {
     return data_[pos_++];
   }
 
+  /// A bool written as one byte (`w.u8(flag)`): nullopt when the byte is
+  /// missing or above 1, so a flag has one encoding.
+  [[nodiscard]] std::optional<bool> flag() {
+    const auto b = u8();
+    if (!b || *b > 1) return std::nullopt;
+    return *b == 1;
+  }
+
   /// Accepts only the minimal encoding ByteWriter::uvarint emits, so one
   /// value has one encoding: a last byte of 0 after the first (`0x82 0x00`
   /// for 2) is overlong, and a tenth byte may carry only bit 63.
@@ -159,7 +167,7 @@ class ByteReader {
   [[nodiscard]] std::optional<ProcessSet> process_set(Pid n) {
     assert(n >= 1 && n <= kMaxProcesses);
     const int words = (static_cast<int>(n) + 63) / 64;
-    ProcessSet s;
+    std::uint64_t buf[detail::kSetWords];
     for (int i = 0; i < words; ++i) {
       const auto w = u64();
       if (!w) return std::nullopt;
@@ -168,9 +176,9 @@ class ByteReader {
           n - low >= 64 ? ~std::uint64_t{0}
                         : ((std::uint64_t{1} << (n - low)) - 1);
       if ((*w & ~valid) != 0) return std::nullopt;
-      s.set_word(i, *w);
+      buf[i] = *w;
     }
-    return s;
+    return ProcessSet::from_words(buf, words);
   }
 
   [[nodiscard]] std::optional<std::string> str() {

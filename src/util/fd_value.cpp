@@ -21,14 +21,14 @@ std::optional<FdValue> FdValue::decode(ByteReader& r, Pid n) {
     v.set_leader(*p);
   }
   if (*flags & kHasQuorum) {
-    const auto q = r.process_set(n);
+    auto q = r.process_set(n);
     if (!q) return std::nullopt;
-    v.set_quorum(*q);
+    v.set_quorum(std::move(*q));
   }
   if (*flags & kHasSuspects) {
-    const auto s = r.process_set(n);
+    auto s = r.process_set(n);
     if (!s) return std::nullopt;
-    v.set_suspects(*s);
+    v.set_suspects(std::move(*s));
   }
   return v;
 }

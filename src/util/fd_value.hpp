@@ -7,11 +7,19 @@
 // detectors such as (Omega, Sigma^nu+)). Rather than a recursive variant,
 // FdValue is a flat record of up-to-three optional components — leader,
 // quorum, suspects — which covers every detector in this library while
-// keeping values cheap to copy, compare and serialize.
+// keeping values cheap to compare and serialize.
+//
+// Past 64 processes a set component owns a heap block (util/process_set.hpp),
+// so copying a value copies its blocks. The step path therefore moves values
+// and reads their components in place: quorum() and suspects() return
+// references into this FdValue, valid only as long as it lives (never bind
+// one to a component of a temporary); the setters and combine() move their
+// arguments in.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/process_set.hpp"
@@ -30,25 +38,24 @@ class FdValue {
 
   [[nodiscard]] static constexpr FdValue of_quorum(ProcessSet q) {
     FdValue v;
-    v.set_quorum(q);
+    v.set_quorum(std::move(q));
     return v;
   }
 
   [[nodiscard]] static constexpr FdValue of_suspects(ProcessSet s) {
     FdValue v;
-    v.set_suspects(s);
+    v.set_suspects(std::move(s));
     return v;
   }
 
   /// Product detector (D, D'): the union of the components of both values.
-  /// Each component may be supplied by at most one side.
-  [[nodiscard]] static constexpr FdValue combine(const FdValue& a,
-                                                 const FdValue& b) {
-    FdValue v = a;
-    if (b.has_leader()) v.set_leader(b.leader());
-    if (b.has_quorum()) v.set_quorum(b.quorum());
-    if (b.has_suspects()) v.set_suspects(b.suspects());
-    return v;
+  /// Each component may be supplied by at most one side. Both operands are
+  /// taken by value, so a caller passing temporaries copies no set.
+  [[nodiscard]] static constexpr FdValue combine(FdValue a, FdValue b) {
+    if (b.has_leader()) a.set_leader(b.leader_);
+    if (b.has_quorum()) a.set_quorum(std::move(b.quorum_));
+    if (b.has_suspects()) a.set_suspects(std::move(b.suspects_));
+    return a;
   }
 
   constexpr void set_leader(Pid p) {
@@ -57,11 +64,11 @@ class FdValue {
   }
   constexpr void set_quorum(ProcessSet q) {
     flags_ |= kHasQuorum;
-    quorum_ = q;
+    quorum_ = std::move(q);
   }
   constexpr void set_suspects(ProcessSet s) {
     flags_ |= kHasSuspects;
-    suspects_ = s;
+    suspects_ = std::move(s);
   }
 
   [[nodiscard]] constexpr bool has_leader() const { return flags_ & kHasLeader; }
@@ -69,15 +76,16 @@ class FdValue {
   [[nodiscard]] constexpr bool has_suspects() const { return flags_ & kHasSuspects; }
 
   /// Accessors require the component to be present (checked by assert).
+  /// The set accessors return references into this value.
   [[nodiscard]] constexpr Pid leader() const {
     assert(has_leader());
     return leader_;
   }
-  [[nodiscard]] constexpr ProcessSet quorum() const {
+  [[nodiscard]] constexpr const ProcessSet& quorum() const {
     assert(has_quorum());
     return quorum_;
   }
-  [[nodiscard]] constexpr ProcessSet suspects() const {
+  [[nodiscard]] constexpr const ProcessSet& suspects() const {
     assert(has_suspects());
     return suspects_;
   }

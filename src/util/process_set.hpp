@@ -6,12 +6,17 @@
 // tests between quorums in quorum histories) are word-wise AND instructions.
 //
 // Storage layout: one inline 64-bit word (`lo_`, pids 0..63) plus an optional
-// heap block (`hi_`) of kHiWords words for pids 64..kMaxProcesses-1. The block
-// has a fixed size, so it never reallocates and a null `hi_` means "all high
-// words are zero". Runs with n <= 64 — every paper experiment — never touch
-// the heap: the fast paths are a single predictable `hi_ == nullptr` test
-// away from the old one-word code. A high block belongs to its set: it is
-// allocated with the set and freed with it, so no run leaves blocks behind.
+// heap block (`hi_`) for the words above it. The block's first word holds c,
+// the index of the highest word it stores, and words 1..c follow, so a set
+// over n processes carries a block of ceil(n/64) words (16 bytes at n=128)
+// and every word loop stops at c. A null `hi_` means "all high words are
+// zero", and words past c read as zero: two sets are equal, and order, by
+// their values whatever the widths of their blocks. Runs with n <= 64 —
+// every paper experiment — never touch the heap: the fast paths are a single
+// predictable `hi_ == nullptr` test away from the old one-word code. A high
+// block belongs to its set: it is allocated with the set and freed with it,
+// so no run leaves blocks behind. The set stays 16 bytes; a wider inline
+// part would grow every FdValue that carries one.
 #pragma once
 
 #include <cassert>
@@ -30,9 +35,8 @@ inline constexpr Pid kMaxProcesses = 1024;
 
 namespace detail {
 
-/// 64-bit words per set, and per heap block (all but the inline word).
+/// 64-bit words in a set of kMaxProcesses processes.
 inline constexpr int kSetWords = kMaxProcesses / 64;
-inline constexpr int kHiWords = kSetWords - 1;
 
 }  // namespace detail
 
@@ -47,8 +51,9 @@ class ProcessSet {
 
   constexpr ProcessSet(const ProcessSet& o) : lo_(o.lo_) {
     if (o.hi_ != nullptr) {
-      hi_ = alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) hi_[i] = o.hi_[i];
+      const int c = o.top();
+      hi_ = alloc_hi(c);
+      for (int i = 1; i <= c; ++i) hi_[i] = o.hi_[i];
     }
   }
 
@@ -57,15 +62,18 @@ class ProcessSet {
     o.hi_ = nullptr;
   }
 
+  /// Reuses this set's block when it is at least as wide as o's.
   constexpr ProcessSet& operator=(const ProcessSet& o) {
     if (this == &o) return *this;
     lo_ = o.lo_;
-    if (o.hi_ == nullptr) {
+    const int oc = o.top();
+    if (top() < oc) {
       drop_hi();
-    } else {
-      if (hi_ == nullptr) hi_ = alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) hi_[i] = o.hi_[i];
+      hi_ = alloc_hi(oc);
     }
+    const int c = top();
+    for (int i = 1; i <= oc; ++i) hi_[i] = o.hi_[i];
+    for (int i = oc + 1; i <= c; ++i) hi_[i] = 0;
     return *this;
   }
 
@@ -90,12 +98,10 @@ class ProcessSet {
       return s;
     }
     s.lo_ = ~std::uint64_t{0};
-    s.hi_ = s.alloc_hi();
-    const int full_words = n / 64 - 1;  // full high words
-    for (int i = 0; i < full_words; ++i) s.hi_[i] = ~std::uint64_t{0};
-    if (n % 64 != 0) {
-      s.hi_[full_words] = (std::uint64_t{1} << (n % 64)) - 1;
-    }
+    const int c = (n - 1) / 64;
+    s.hi_ = alloc_hi(c);
+    for (int i = 1; i <= c; ++i) s.hi_[i] = ~std::uint64_t{0};
+    if (n % 64 != 0) s.hi_[c] = (std::uint64_t{1} << (n % 64)) - 1;
     return s;
   }
 
@@ -107,10 +113,28 @@ class ProcessSet {
   }
 
   /// A set from a raw 64-bit mask (bit i set <=> process i in the set).
-  /// Only spans pids 0..63; the wide codec paths use word()/set_word().
+  /// Only spans pids 0..63; the wide codec paths use from_words().
   [[nodiscard]] static constexpr ProcessSet from_mask(std::uint64_t mask) {
     ProcessSet s;
     s.lo_ = mask;
+    return s;
+  }
+
+  /// The set whose word i is words[i] for i < count (count <= kSetWords),
+  /// with a block sized once for the highest nonzero word. Codec use
+  /// (ByteReader::process_set, QuorumHistory's rows).
+  [[nodiscard]] static constexpr ProcessSet from_words(
+      const std::uint64_t* words, int count) {
+    assert(count >= 0 && count <= detail::kSetWords);
+    ProcessSet s;
+    if (count == 0) return s;
+    s.lo_ = words[0];
+    int c = count - 1;
+    while (c > 0 && words[c] == 0) --c;
+    if (c > 0) {
+      s.hi_ = alloc_hi(c);
+      for (int i = 1; i <= c; ++i) s.hi_[i] = words[i];
+    }
     return s;
   }
 
@@ -125,19 +149,21 @@ class ProcessSet {
   [[nodiscard]] constexpr std::uint64_t word(int i) const {
     assert(i >= 0 && i < detail::kSetWords);
     if (i == 0) return lo_;
-    return hi_ != nullptr ? hi_[i - 1] : 0;
+    return i <= top() ? hi_[i] : 0;
   }
 
-  /// Overwrites word i. Codec use (ByteReader::process_set).
+  /// Overwrites word i, widening the block when a nonzero word lies past it.
   constexpr void set_word(int i, std::uint64_t w) {
     assert(i >= 0 && i < detail::kSetWords);
     if (i == 0) {
       lo_ = w;
       return;
     }
-    if (w == 0 && hi_ == nullptr) return;
-    if (hi_ == nullptr) hi_ = alloc_hi();
-    hi_[i - 1] = w;
+    if (i > top()) {
+      if (w == 0) return;
+      widen(i);
+    }
+    hi_[i] = w;
   }
 
   constexpr void insert(Pid p) {
@@ -146,8 +172,9 @@ class ProcessSet {
       lo_ |= std::uint64_t{1} << p;
       return;
     }
-    if (hi_ == nullptr) hi_ = alloc_hi();
-    hi_[p / 64 - 1] |= std::uint64_t{1} << (p % 64);
+    const int i = p / 64;
+    if (i > top()) widen(i);
+    hi_[i] |= std::uint64_t{1} << (p % 64);
   }
 
   constexpr void erase(Pid p) {
@@ -156,13 +183,15 @@ class ProcessSet {
       lo_ &= ~(std::uint64_t{1} << p);
       return;
     }
-    if (hi_ != nullptr) hi_[p / 64 - 1] &= ~(std::uint64_t{1} << (p % 64));
+    const int i = p / 64;
+    if (i <= top()) hi_[i] &= ~(std::uint64_t{1} << (p % 64));
   }
 
   [[nodiscard]] constexpr bool contains(Pid p) const {
     assert(p >= 0 && p < kMaxProcesses);
     if (p < 64) return (lo_ >> p) & 1U;
-    return hi_ != nullptr && ((hi_[p / 64 - 1] >> (p % 64)) & 1U);
+    const int i = p / 64;
+    return i <= top() && ((hi_[i] >> (p % 64)) & 1U);
   }
 
   [[nodiscard]] constexpr bool empty() const {
@@ -171,18 +200,15 @@ class ProcessSet {
 
   [[nodiscard]] constexpr int size() const {
     int count = __builtin_popcountll(lo_);
-    if (hi_ != nullptr) {
-      for (int i = 0; i < detail::kHiWords; ++i) {
-        count += __builtin_popcountll(hi_[i]);
-      }
-    }
+    const int c = top();
+    for (int i = 1; i <= c; ++i) count += __builtin_popcountll(hi_[i]);
     return count;
   }
 
   [[nodiscard]] constexpr bool intersects(const ProcessSet& o) const {
     if ((lo_ & o.lo_) != 0) return true;
-    if (hi_ == nullptr || o.hi_ == nullptr) return false;
-    for (int i = 0; i < detail::kHiWords; ++i) {
+    const int c = top() < o.top() ? top() : o.top();
+    for (int i = 1; i <= c; ++i) {
       if ((hi_[i] & o.hi_[i]) != 0) return true;
     }
     return false;
@@ -190,9 +216,13 @@ class ProcessSet {
 
   [[nodiscard]] constexpr bool is_subset_of(const ProcessSet& o) const {
     if ((lo_ & ~o.lo_) != 0) return false;
-    if (hi_ == nullptr) return true;
-    for (int i = 0; i < detail::kHiWords; ++i) {
-      if ((hi_[i] & ~o.word(i + 1)) != 0) return false;
+    const int c = top();
+    const int shared = c < o.top() ? c : o.top();
+    for (int i = 1; i <= shared; ++i) {
+      if ((hi_[i] & ~o.hi_[i]) != 0) return false;
+    }
+    for (int i = shared + 1; i <= c; ++i) {
+      if (hi_[i] != 0) return false;
     }
     return true;
   }
@@ -200,20 +230,20 @@ class ProcessSet {
   [[nodiscard]] constexpr ProcessSet operator|(const ProcessSet& o) const {
     ProcessSet r;
     r.lo_ = lo_ | o.lo_;
-    if (hi_ != nullptr || o.hi_ != nullptr) {
-      r.hi_ = r.alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) {
-        r.hi_[i] = word(i + 1) | o.word(i + 1);
-      }
+    const int c = top() > o.top() ? top() : o.top();
+    if (c > 0) {
+      r.hi_ = alloc_hi(c);
+      for (int i = 1; i <= c; ++i) r.hi_[i] = word(i) | o.word(i);
     }
     return r;
   }
   [[nodiscard]] constexpr ProcessSet operator&(const ProcessSet& o) const {
     ProcessSet r;
     r.lo_ = lo_ & o.lo_;
-    if (hi_ != nullptr && o.hi_ != nullptr) {
-      r.hi_ = r.alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) r.hi_[i] = hi_[i] & o.hi_[i];
+    const int c = top() < o.top() ? top() : o.top();
+    if (c > 0) {
+      r.hi_ = alloc_hi(c);
+      for (int i = 1; i <= c; ++i) r.hi_[i] = hi_[i] & o.hi_[i];
     }
     return r;
   }
@@ -221,31 +251,24 @@ class ProcessSet {
   [[nodiscard]] constexpr ProcessSet operator-(const ProcessSet& o) const {
     ProcessSet r;
     r.lo_ = lo_ & ~o.lo_;
-    if (hi_ != nullptr) {
-      r.hi_ = r.alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) {
-        r.hi_[i] = hi_[i] & ~o.word(i + 1);
-      }
+    const int c = top();
+    if (c > 0) {
+      r.hi_ = alloc_hi(c);
+      for (int i = 1; i <= c; ++i) r.hi_[i] = hi_[i] & ~o.word(i);
     }
     return r;
   }
   constexpr ProcessSet& operator|=(const ProcessSet& o) {
     lo_ |= o.lo_;
-    if (o.hi_ != nullptr) {
-      if (hi_ == nullptr) hi_ = alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) hi_[i] |= o.hi_[i];
-    }
+    const int oc = o.top();
+    if (oc > top()) widen(oc);
+    for (int i = 1; i <= oc; ++i) hi_[i] |= o.hi_[i];
     return *this;
   }
   constexpr ProcessSet& operator&=(const ProcessSet& o) {
     lo_ &= o.lo_;
-    if (hi_ != nullptr) {
-      if (o.hi_ == nullptr) {
-        drop_hi();
-      } else {
-        for (int i = 0; i < detail::kHiWords; ++i) hi_[i] &= o.hi_[i];
-      }
-    }
+    const int c = top();
+    for (int i = 1; i <= c; ++i) hi_[i] &= o.word(i);
     return *this;
   }
 
@@ -253,9 +276,10 @@ class ProcessSet {
   [[nodiscard]] constexpr Pid min() const {
     assert(!empty());
     if (lo_ != 0) return static_cast<Pid>(__builtin_ctzll(lo_));
-    for (int i = 0; i < detail::kHiWords; ++i) {
+    const int c = top();
+    for (int i = 1; i <= c; ++i) {
       if (hi_[i] != 0) {
-        return static_cast<Pid>(64 * (i + 1) + __builtin_ctzll(hi_[i]));
+        return static_cast<Pid>(64 * i + __builtin_ctzll(hi_[i]));
       }
     }
     return 0;  // unreachable
@@ -264,11 +288,9 @@ class ProcessSet {
   /// Largest pid in the set; the set must be nonempty.
   [[nodiscard]] constexpr Pid max() const {
     assert(!empty());
-    if (hi_ != nullptr) {
-      for (int i = detail::kHiWords - 1; i >= 0; --i) {
-        if (hi_[i] != 0) {
-          return static_cast<Pid>(64 * (i + 1) + 63 - __builtin_clzll(hi_[i]));
-        }
+    for (int i = top(); i >= 1; --i) {
+      if (hi_[i] != 0) {
+        return static_cast<Pid>(64 * i + 63 - __builtin_clzll(hi_[i]));
       }
     }
     return static_cast<Pid>(63 - __builtin_clzll(lo_));
@@ -278,12 +300,12 @@ class ProcessSet {
   /// Word-skipping select keeps Rng::pick O(words) instead of O(members).
   [[nodiscard]] constexpr Pid nth(int k) const {
     assert(k >= 0 && k < size());
-    for (int i = 0; i < detail::kSetWords; ++i) {
+    const int c = top();
+    for (int i = 0; i <= c; ++i) {
       std::uint64_t w = word(i);
       const int pop = __builtin_popcountll(w);
       if (k >= pop) {
         k -= pop;
-        if (i == 0 && hi_ == nullptr) break;
         continue;
       }
       for (int j = 0; j < k; ++j) w &= w - 1;  // drop the k lowest set bits
@@ -294,9 +316,9 @@ class ProcessSet {
 
   friend constexpr bool operator==(const ProcessSet& a, const ProcessSet& b) {
     if (a.lo_ != b.lo_) return false;
-    if (a.hi_ == nullptr && b.hi_ == nullptr) return true;
-    for (int i = 0; i < detail::kHiWords; ++i) {
-      if (a.word(i + 1) != b.word(i + 1)) return false;
+    const int c = a.top() > b.top() ? a.top() : b.top();
+    for (int i = 1; i <= c; ++i) {
+      if (a.word(i) != b.word(i)) return false;
     }
     return true;
   }
@@ -305,12 +327,10 @@ class ProcessSet {
   /// sorted containers and codecs keyed on it keep their byte layouts.
   friend constexpr std::strong_ordering operator<=>(const ProcessSet& a,
                                                     const ProcessSet& b) {
-    if (a.hi_ != nullptr || b.hi_ != nullptr) {
-      for (int i = detail::kSetWords - 1; i >= 1; --i) {
-        const std::uint64_t aw = a.word(i);
-        const std::uint64_t bw = b.word(i);
-        if (aw != bw) return aw <=> bw;
-      }
+    for (int i = a.top() > b.top() ? a.top() : b.top(); i >= 1; --i) {
+      const std::uint64_t aw = a.word(i);
+      const std::uint64_t bw = b.word(i);
+      if (aw != bw) return aw <=> bw;
     }
     return a.lo_ <=> b.lo_;
   }
@@ -336,13 +356,13 @@ class ProcessSet {
 
    private:
     constexpr void advance_to_nonempty() {
-      while (bits_ == 0 && word_ < detail::kSetWords) {
-        if (s_->hi_ == nullptr) {
+      while (bits_ == 0) {
+        if (word_ >= s_->top()) {
           word_ = detail::kSetWords;
           break;
         }
         ++word_;
-        bits_ = word_ < detail::kSetWords ? s_->word(word_) : 0;
+        bits_ = s_->hi_[word_];
       }
     }
 
@@ -372,17 +392,34 @@ class ProcessSet {
   }
 
  private:
+  /// c, the index of the highest word the block holds; 0 without a block.
+  [[nodiscard]] constexpr int top() const {
+    return hi_ == nullptr ? 0 : static_cast<int>(hi_[0]);
+  }
+
   [[nodiscard]] constexpr bool hi_zero() const {
-    if (hi_ == nullptr) return true;
-    for (int i = 0; i < detail::kHiWords; ++i) {
+    const int c = top();
+    for (int i = 1; i <= c; ++i) {
       if (hi_[i] != 0) return false;
     }
     return true;
   }
 
-  /// A zero-filled block of kHiWords words.
-  [[nodiscard]] static constexpr std::uint64_t* alloc_hi() {
-    return new std::uint64_t[detail::kHiWords]();
+  /// A zero-filled block holding words 1..c, with c in its first word.
+  [[nodiscard]] static constexpr std::uint64_t* alloc_hi(int c) {
+    assert(c >= 1 && c < detail::kSetWords);
+    std::uint64_t* block = new std::uint64_t[c + 1]();
+    block[0] = static_cast<std::uint64_t>(c);
+    return block;
+  }
+
+  /// Grows the block to hold words 1..c (c > top()), keeping its words.
+  constexpr void widen(int c) {
+    std::uint64_t* block = alloc_hi(c);
+    const int old = top();
+    for (int i = 1; i <= old; ++i) block[i] = hi_[i];
+    drop_hi();
+    hi_ = block;
   }
 
   constexpr void drop_hi() {

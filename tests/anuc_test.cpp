@@ -381,5 +381,27 @@ TEST(Anuc, RestoreRefusesAnOverlongVarint) {
   EXPECT_EQ(resaved.take(), saved);
 }
 
+TEST(Anuc, RestoreRefusesAFlagAboveOne) {
+  Anuc p0(0, 1, 2);
+  std::vector<Outgoing> lead;
+  p0.step(nullptr, leader0_quorum01(), lead);
+  ByteWriter w;
+  ASSERT_TRUE(p0.save_state(w));
+  const Bytes saved = w.take();
+  // x = 1 and round 1 are one varint byte each, then the phase and
+  // has_decided.
+  ASSERT_EQ(saved.at(3), 0x00);
+
+  // A has_decided of 2 would read as "decided" and re-save as 1.
+  Bytes forged = saved;
+  forged[3] = 0x02;
+  Anuc restored(0, 0, 2);
+  EXPECT_FALSE(restored.restore(forged));
+  ASSERT_TRUE(restored.restore(saved));
+  ByteWriter resaved;
+  ASSERT_TRUE(restored.save_state(resaved));
+  EXPECT_EQ(resaved.take(), saved);
+}
+
 }  // namespace
 }  // namespace nucon

@@ -143,6 +143,24 @@ TEST(BenOr, RestoreRefusesARoundPastInt) {
   EXPECT_EQ(b.round(), 1);
 }
 
+TEST(BenOr, RestoreRefusesAFlagAboveOne) {
+  BenOr a(0, 1, 3, 1, 9);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  // x = 1, round 1 and decided round 0 are one varint byte each, then the
+  // phase and has_decided.
+  ASSERT_EQ(saved.at(4), 0x00);
+
+  // A has_decided of 2 would read as "decided" and re-save as 1.
+  Bytes forged = saved;
+  forged[4] = 0x02;
+  BenOr b(0, 1, 3, 1, 9);
+  EXPECT_FALSE(b.restore(forged));
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.snapshot(), saved);
+}
+
 TEST(BenOr, RestoreRefusesAReportOutsideBinary) {
   // advance() counts reports by value; a restored report of 5 indexed
   // past its two counters.

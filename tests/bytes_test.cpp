@@ -168,6 +168,17 @@ TEST(Bytes, OverlongVarintFails) {
   }
 }
 
+TEST(Bytes, FlagAcceptsOnlyZeroAndOne) {
+  // A flag has one encoding: any other byte, or none, is malformed.
+  const Bytes data{0x00, 0x01, 0x02, 0xff};
+  ByteReader r(data);
+  EXPECT_EQ(r.flag(), std::optional<bool>(false));
+  EXPECT_EQ(r.flag(), std::optional<bool>(true));
+  EXPECT_FALSE(r.flag());
+  EXPECT_FALSE(r.flag());
+  EXPECT_FALSE(r.flag());  // past the end
+}
+
 TEST(Bytes, TruncatedStringFails) {
   ByteWriter w;
   w.uvarint(100);  // claims 100 bytes follow; none do

@@ -160,6 +160,24 @@ TEST(CtConsensus, RestoreRefusesRoundsAndTimestampsPastInt) {
   EXPECT_EQ(b.round(), 1);
 }
 
+TEST(CtConsensus, RestoreRefusesAFlagAboveOne) {
+  CtConsensus a(1, 5, 3);
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  // x = 5, timestamp 0, round 1, the phase and the selection are one byte
+  // each, then has_decided.
+  ASSERT_EQ(saved.at(5), 0x00);
+
+  // A has_decided of 2 would read as "decided" and re-save as 1.
+  Bytes forged = saved;
+  forged[5] = 0x02;
+  CtConsensus b(1, 5, 3);
+  EXPECT_FALSE(b.restore(forged));
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.snapshot(), saved);
+}
+
 TEST(CtConsensus, RestoreRefusesAnEstimateFromOutsideTheSystem) {
   // Coordinator p0 of round 1 at n=3; two estimates from p7 and p8 would
   // make a majority and select 9, a value nobody proposed.

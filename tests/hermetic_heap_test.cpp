@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "check/model_checker.hpp"
 #include "core/anuc.hpp"
@@ -102,6 +103,34 @@ TEST(HermeticRun, ARunPast64ProcessesLeavesNothingOnItsThreadsHeap) {
   const std::int64_t before = live_bytes();
   (void)exp::run_point(wide);
   EXPECT_EQ(live_bytes(), before);
+}
+
+// The same post-GST point, counted in allocations per step. At n=64 no set
+// owns a block; at n=128 every quorum does, so each copy of a quorum on the
+// step path (oracle to step record to A_nuc's get_quorum) would cost one
+// block. Release builds only: Debug builds cross-check every distrust query
+// against QuorumHistory's quadratic recompute, which allocates per call.
+TEST(HermeticRun, AStepPast64ProcessesCopiesNoQuorum) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "the !NDEBUG QuorumHistory cross-checks allocate on every "
+                  "distrust query";
+#else
+  for (const auto& [n, bound] : {std::pair{64, 1.1}, std::pair{128, 1.75}}) {
+    exp::SweepPoint pt = point(exp::Algo::kAnuc, n);
+    pt.hold = pt.max_steps;
+    exp::SweepPoint warm_up = pt;
+    warm_up.max_steps = 50;
+    (void)exp::run_point(warm_up);
+
+    const std::int64_t before = allocations();
+    const std::size_t steps = exp::run_point(pt).steps;
+    const auto made = static_cast<double>(allocations() - before);
+    ASSERT_EQ(steps, 20'000u);
+    EXPECT_LE(made / static_cast<double>(steps), bound)
+        << "n=" << n << ": " << made << " allocations for " << steps
+        << " steps";
+  }
+#endif
 }
 
 /// The model checker's reference search: A_nuc at n=3 under the §6.3

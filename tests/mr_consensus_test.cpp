@@ -201,6 +201,24 @@ TEST(MrConsensus, RestoreRefusesARoundPastInt) {
   EXPECT_EQ(b.round(), 1);
 }
 
+TEST(MrConsensus, RestoreRefusesAFlagAboveOne) {
+  MrConsensus a(0, 3, MrOptions{3, MrQuorumMode::kMajority});
+  std::vector<Outgoing> out;
+  a.step(nullptr, FdValue{}, out);
+  const Bytes saved = *a.snapshot();
+  // x = 3 and round 1 are one varint byte each, then the phase and
+  // has_decided.
+  ASSERT_EQ(saved.at(3), 0x00);
+
+  // A has_decided of 2 would read as "decided" and re-save as 1.
+  Bytes forged = saved;
+  forged[3] = 0x02;
+  MrConsensus b(0, 3, MrOptions{3, MrQuorumMode::kMajority});
+  EXPECT_FALSE(b.restore(forged));
+  ASSERT_TRUE(b.restore(saved));
+  EXPECT_EQ(b.snapshot(), saved);
+}
+
 TEST(MrConsensus, SnapshotChangesWithState) {
   MrConsensus a(0, 3, MrOptions{3, MrQuorumMode::kMajority});
   const auto before = a.snapshot();
