@@ -152,20 +152,6 @@ class ProcessSet {
     return i <= top() ? hi_[i] : 0;
   }
 
-  /// Overwrites word i, widening the block when a nonzero word lies past it.
-  constexpr void set_word(int i, std::uint64_t w) {
-    assert(i >= 0 && i < detail::kSetWords);
-    if (i == 0) {
-      lo_ = w;
-      return;
-    }
-    if (i > top()) {
-      if (w == 0) return;
-      widen(i);
-    }
-    hi_[i] = w;
-  }
-
   constexpr void insert(Pid p) {
     assert(p >= 0 && p < kMaxProcesses);
     if (p < 64) {

@@ -390,17 +390,15 @@ TEST(Anuc, RestoreRefusesAFlagAboveOne) {
   const Bytes saved = w.take();
   // x = 1 and round 1 are one varint byte each, then the phase and
   // has_decided.
-  ASSERT_EQ(saved.at(3), 0x00);
-
-  // A has_decided of 2 would read as "decided" and re-save as 1.
-  Bytes forged = saved;
-  forged[3] = 0x02;
+  const Bytes decided = testutil::with_decision(saved, 3, 1, 1);
   Anuc restored(0, 0, 2);
-  EXPECT_FALSE(restored.restore(forged));
-  ASSERT_TRUE(restored.restore(saved));
+  ASSERT_TRUE(restored.restore(decided));
   ByteWriter resaved;
   ASSERT_TRUE(restored.save_state(resaved));
-  EXPECT_EQ(resaved.take(), saved);
+  ASSERT_EQ(resaved.take(), decided);
+
+  // A has_decided of 2 would read as "decided" and re-save as 1.
+  EXPECT_FALSE(restored.restore(testutil::with_decision(saved, 3, 2, 1)));
 }
 
 }  // namespace

@@ -150,15 +150,13 @@ TEST(BenOr, RestoreRefusesAFlagAboveOne) {
   const Bytes saved = *a.snapshot();
   // x = 1, round 1 and decided round 0 are one varint byte each, then the
   // phase and has_decided.
-  ASSERT_EQ(saved.at(4), 0x00);
+  const Bytes decided = testutil::with_decision(saved, 4, 1, 1);
+  BenOr b(0, 1, 3, 1, 9);
+  ASSERT_TRUE(b.restore(decided));
+  ASSERT_EQ(b.snapshot(), decided);
 
   // A has_decided of 2 would read as "decided" and re-save as 1.
-  Bytes forged = saved;
-  forged[4] = 0x02;
-  BenOr b(0, 1, 3, 1, 9);
-  EXPECT_FALSE(b.restore(forged));
-  ASSERT_TRUE(b.restore(saved));
-  EXPECT_EQ(b.snapshot(), saved);
+  EXPECT_FALSE(b.restore(testutil::with_decision(saved, 4, 2, 1)));
 }
 
 TEST(BenOr, RestoreRefusesAReportOutsideBinary) {

@@ -26,6 +26,22 @@ inline std::string sweep_name(const testing::TestParamInfo<SweepParam>& info) {
          std::to_string(info.param.seed);
 }
 
+/// An undecided saved state as if it had decided v: its has_decided byte at
+/// `at` (0 there) rewritten to `flag`, and v encoded right after it, where
+/// every consensus codec keeps the decided value. With flag 1 this is a
+/// canonical decided state; with flag 2 the parse does not shift, so only a
+/// decoder that accepts the byte as a 0/1 flag and nothing else refuses it.
+inline Bytes with_decision(const Bytes& saved, std::size_t at,
+                           std::uint8_t flag, Value v) {
+  EXPECT_EQ(saved.at(at), 0x00);
+  ByteWriter w;
+  w.raw(ByteView(saved).first(at));
+  w.u8(flag);
+  w.svarint(v);
+  w.raw(ByteView(saved).subspan(at + 1));
+  return w.take();
+}
+
 inline FailurePattern sweep_pattern(const SweepParam& param, Time latest_crash) {
   Rng rng(param.seed * 7919 + static_cast<std::uint64_t>(param.n) * 131 +
           static_cast<std::uint64_t>(param.faults));

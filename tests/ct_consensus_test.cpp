@@ -167,15 +167,13 @@ TEST(CtConsensus, RestoreRefusesAFlagAboveOne) {
   const Bytes saved = *a.snapshot();
   // x = 5, timestamp 0, round 1, the phase and the selection are one byte
   // each, then has_decided.
-  ASSERT_EQ(saved.at(5), 0x00);
+  const Bytes decided = testutil::with_decision(saved, 5, 1, 5);
+  CtConsensus b(1, 5, 3);
+  ASSERT_TRUE(b.restore(decided));
+  ASSERT_EQ(b.snapshot(), decided);
 
   // A has_decided of 2 would read as "decided" and re-save as 1.
-  Bytes forged = saved;
-  forged[5] = 0x02;
-  CtConsensus b(1, 5, 3);
-  EXPECT_FALSE(b.restore(forged));
-  ASSERT_TRUE(b.restore(saved));
-  EXPECT_EQ(b.snapshot(), saved);
+  EXPECT_FALSE(b.restore(testutil::with_decision(saved, 5, 2, 5)));
 }
 
 TEST(CtConsensus, RestoreRefusesAnEstimateFromOutsideTheSystem) {

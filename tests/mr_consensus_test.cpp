@@ -208,15 +208,13 @@ TEST(MrConsensus, RestoreRefusesAFlagAboveOne) {
   const Bytes saved = *a.snapshot();
   // x = 3 and round 1 are one varint byte each, then the phase and
   // has_decided.
-  ASSERT_EQ(saved.at(3), 0x00);
+  const Bytes decided = testutil::with_decision(saved, 3, 1, 3);
+  MrConsensus b(0, 3, MrOptions{3, MrQuorumMode::kMajority});
+  ASSERT_TRUE(b.restore(decided));
+  ASSERT_EQ(b.snapshot(), decided);
 
   // A has_decided of 2 would read as "decided" and re-save as 1.
-  Bytes forged = saved;
-  forged[3] = 0x02;
-  MrConsensus b(0, 3, MrOptions{3, MrQuorumMode::kMajority});
-  EXPECT_FALSE(b.restore(forged));
-  ASSERT_TRUE(b.restore(saved));
-  EXPECT_EQ(b.snapshot(), saved);
+  EXPECT_FALSE(b.restore(testutil::with_decision(saved, 3, 2, 3)));
 }
 
 TEST(MrConsensus, SnapshotChangesWithState) {

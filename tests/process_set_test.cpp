@@ -297,16 +297,26 @@ TEST(ProcessSet, RandomOperationsMatchABitsetReference) {
           break;
         }
         case 8: {
+          // Overwrite one word of the reference, then rebuild the set from
+          // its words, as the codec does.
           const auto i = static_cast<int>(
               rng.below(static_cast<std::uint64_t>(words)));
           const int bits = std::min(64, n - 64 * i);
           const std::uint64_t valid =
               bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
           const std::uint64_t w = rng.chance(1, 4) ? 0 : rng.next() & valid;
-          sets[a].set_word(i, w);
           for (int j = 0; j < 64; ++j) {
             refs[a].set(static_cast<std::size_t>(64 * i + j), (w >> j) & 1U);
           }
+          std::uint64_t buf[detail::kSetWords] = {};
+          for (int k = 0; k < words; ++k) {
+            for (int j = 0; j < 64; ++j) {
+              if (refs[a][static_cast<std::size_t>(64 * k + j)]) {
+                buf[k] |= std::uint64_t{1} << j;
+              }
+            }
+          }
+          sets[a] = ProcessSet::from_words(buf, words);
           break;
         }
         case 9:

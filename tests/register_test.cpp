@@ -211,6 +211,46 @@ TEST(AbdRegister, ReadsSeeCompletedWrites) {
   }
 }
 
+TEST(AbdRegister, ReadReplyWithAFlagAboveOneIsIgnored) {
+  // p0 reads with quorum {1}: the first READ_REPLY it accepts from p1
+  // completes the query phase and broadcasts the write-back.
+  AbdRegister p0(0, 2, {{RegOp::Kind::kRead, 0}});
+  const FdValue d = FdValue::of_quorum(ProcessSet{1});
+  std::vector<Outgoing> out;
+  p0.step(nullptr, d, out);  // READ_QUERY, opid 1
+  ASSERT_EQ(out.size(), 2u);
+
+  const auto reply = [](std::uint8_t initial) {
+    ByteWriter w;
+    w.u8(2);  // READ_REPLY, opid 1, timestamp 3, writer 1
+    w.uvarint(1);
+    w.uvarint(3);
+    w.pid(1);
+    w.u8(initial);
+    w.svarint(7);
+    return w.take();
+  };
+  const Bytes forged = reply(2);
+  const Incoming bad{1, forged};
+  out.clear();
+  p0.step(&bad, d, out);
+  EXPECT_TRUE(out.empty());  // p1 did not join the replied set
+
+  const Bytes genuine = reply(1);
+  const Incoming good{1, genuine};
+  p0.step(&good, d, out);
+  ASSERT_EQ(out.size(), 2u);
+  // The write-back: WRITE, opid 2, timestamp 3 and value 7 under the
+  // initial writer (-1, sent as 0), so the flag read as true.
+  ByteWriter write;
+  write.u8(3);
+  write.uvarint(2);
+  write.uvarint(3);
+  write.pid(0);
+  write.svarint(7);
+  EXPECT_EQ(out[0].payload.get(), write.take());
+}
+
 // --- Checker unit tests on handcrafted histories ---------------------------
 
 RegOpRecord op(Pid client, RegOp::Kind kind, Value v, RegTag tag,
